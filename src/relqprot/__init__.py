@@ -50,6 +50,7 @@ from .parity import (
     p_fixed_block,
     parity_posterior,
     pc_parity_block_bound,
+    pc_parity_optimal,
     pc_parity_plain,
     random_block_code,
     sample_secret,

@@ -5,8 +5,9 @@ probability per cell, and grades each estimate against the matching
 closed-form value: a three-sigma binomial band for statistical references,
 one-sided for reference curves that are only bounds, and exact equality for
 deterministic outcomes.  Results are bit-identical for a given spec and
-master seed regardless of worker count, because every cell and trial seeds
-its own substream.
+master seed regardless of worker count, because every cell seeds its own
+substream.  The protocol scenarios run all of a cell's trials through the
+batched engine of ``protocol.simulate``.
 """
 
 from __future__ import annotations
@@ -18,20 +19,22 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .measurement import composite_error
-from .parity import exact_parity_guesser, pc_parity_block_bound, pc_parity_plain
+from .parity import exact_parity_guesser, pc_parity_optimal
 from .protocol import (
     ProtocolConfig,
-    SendBack,
     _delay_pass_probability,
+    _integer,
+    _real,
     mirror_guess_acceptance,
-    run_bit_commitment,
-    run_coin_toss,
+    simulate,
 )
+from .protocol import run_bit_commitment, run_coin_toss  # noqa: F401  (bound for tracers)
 from .wavepacket import Window
 
 __all__ = [
@@ -57,6 +60,9 @@ SCENARIOS = (
 )
 
 _SCENARIO_CODE = {name: i + 1 for i, name in enumerate(SCENARIOS)}
+
+# Bound on trials x channels per engine call, which caps a cell's memory.
+_CHUNK_ELEMENTS = 1 << 18
 
 _ALLOWED_PARAMS = {
     "identification": {"tau_d", "width", "separation"},
@@ -103,7 +109,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario id: {self.scenario!r}")
-        if self.trials < 1:
+        _integer("master_seed", self.master_seed)
+        if _integer("trials", self.trials) < 1:
             raise ValueError("trials must be at least 1")
         if not self.grid:
             raise ValueError("parameter grid must not be empty")
@@ -129,8 +136,8 @@ class ExperimentSpec:
         return cls(
             scenario=data.get("scenario", ""),
             grid=grid,
-            trials=int(data.get("trials", 0)),
-            master_seed=int(data.get("master_seed", 0)),
+            trials=data.get("trials", 0),
+            master_seed=data.get("master_seed", 0),
         )
 
     def cells(self) -> list[dict]:
@@ -201,35 +208,27 @@ def _cell_rng(master_seed: int, scenario: str, cell_index: int):
     )
 
 
-def _trial_seeds(master_seed: int, scenario: str, cell_index: int, trials: int):
-    rng = _cell_rng(master_seed, scenario, cell_index)
-    return rng.integers(0, 2**62, size=trials)
-
-
 def _kernel_identification(params, trials, master_seed, cell_index):
-    width = float(params.get("width", 1.0))
-    separation = float(params.get("separation", 8.0))
     config = ProtocolConfig(
-        1, 1, width=width, separation=separation,
+        1, 1, width=params.get("width", 1.0), separation=params.get("separation", 8.0),
         disclosure_time=params.get("tau_d"),
     )
     state = config.make_state(0)
     rng = _cell_rng(master_seed, "identification", cell_index)
-    pick_rear = rng.random(trials) < 0.5
-    u = rng.random(trials)
-    taus = np.where(pick_rear, state.rear.ppf(u), state.front.ppf(u))
+    taus = state.sample_fire_time(rng, trials)
     bits = rng.integers(0, 2, trials)
     fired = taus <= config.tau_d
     successes = int(np.count_nonzero(fired | (bits == 0)))
     mass = state.window_mass(Window(-math.inf, config.tau_d))
     reference = 1.0 - composite_error(mass, 0.0, 0.5)
-    resolved = {"tau_d": config.tau_d, "width": width, "separation": separation}
+    resolved = {"tau_d": config.tau_d, "width": float(config.width),
+                "separation": float(config.separation)}
     return successes, reference, "two_sided", resolved
 
 
 def _kernel_parity_guess(params, trials, master_seed, cell_index):
-    n = int(params.get("n_blocks", 1))
-    k = int(params.get("block_len", 1))
+    n = _integer("n_blocks", params.get("n_blocks", 1))
+    k = _integer("block_len", params.get("block_len", 1))
     # Common random numbers: per-block value/fire draws are seeded by column
     # only, so cells differing in n_blocks share their leading columns.
     values = np.empty((trials, n), dtype=np.int64)
@@ -251,18 +250,15 @@ def _kernel_parity_guess(params, trials, master_seed, cell_index):
         evidence.update({f1 + i: 0 for i in range(n * k - u - f1)})
         guesses[keys == key] = exact_parity_guesser(evidence, n, k).guess
     successes = int(np.count_nonzero(guesses == secrets))
-    if k == 1:
-        return successes, pc_parity_plain(n), "two_sided", {"n_blocks": n, "block_len": k}
-    return successes, pc_parity_block_bound(n, k), "upper", {"n_blocks": n, "block_len": k}
+    return successes, pc_parity_optimal(n, k), "two_sided", {"n_blocks": n, "block_len": k}
 
 
 def _kernel_cheat_detection(params, trials, master_seed, cell_index):
-    n = int(params.get("n_blocks", 2))
-    k = int(params.get("block_len", 1))
-    m = int(params.get("delayed_blocks", 1))
+    config = ProtocolConfig(params.get("n_blocks", 2), params.get("block_len", 1))
+    n, k = config.n_blocks, config.block_len
+    m = _integer("delayed_blocks", params.get("delayed_blocks", 1))
     if not 1 <= m <= n:
         raise ValueError("delayed_blocks must lie in [1, n_blocks]")
-    config = ProtocolConfig(n, k)
     p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
     rng = _cell_rng(master_seed, "cheat_detection", cell_index)
     coins = rng.random((trials, m * k))
@@ -272,78 +268,70 @@ def _kernel_cheat_detection(params, trials, master_seed, cell_index):
     return successes, reference, "two_sided", resolved
 
 
-def _kernel_bc_honest(params, trials, master_seed, cell_index):
-    n = int(params.get("n_blocks", 2))
-    k = int(params.get("block_len", 2))
+def _engine_successes(config, trials, rng, success, **options) -> int:
+    """Trials for which ``success(batch)`` holds, run through the protocol
+    engine in chunks of at most ``_CHUNK_ELEMENTS`` trial-channels."""
+    chunk = max(1, _CHUNK_ELEMENTS // config.n_channels)
+    total = 0
+    for start in range(0, trials, chunk):
+        batch = simulate(config, min(chunk, trials - start), rng, **options)
+        total += int(np.count_nonzero(success(batch)))
+    return total
+
+
+def _kernel_bc(params, trials, master_seed, cell_index, scenario="bc_honest"):
+    """Honest commitment accepted with the committed bit: exactly for compact
+    profiles, per channel with probability 1 - e^-xi for Gaussian tails."""
+    xi = None
+    if scenario == "tailed_completion":
+        xi = _real("tail_exponent", params.get("tail_exponent", 4.0))
     config = ProtocolConfig(
-        n, k,
-        width=float(params.get("width", 1.0)),
-        separation=float(params.get("separation", 8.0)),
+        params.get("n_blocks", 2), params.get("block_len", 2),
+        width=params.get("width", 1.0), separation=params.get("separation", 8.0),
+        tail_exponent=xi,
     )
-    seeds = _trial_seeds(master_seed, "bc_honest", cell_index, trials)
-    successes = 0
-    for seed in seeds:
-        res = run_bit_commitment(config, seed=int(seed))
-        successes += res.verdict.accepted and res.verdict.bit == res.committed_bit
-    return successes, 1.0, "exact", {"n_blocks": n, "block_len": k}
+    n, k = config.n_blocks, config.block_len
+    successes = _engine_successes(
+        config, trials, _cell_rng(master_seed, scenario, cell_index),
+        lambda b: b.accepted & (b.parity_a == b.committed),
+    )
+    if xi is None:
+        return successes, 1.0, "exact", {"n_blocks": n, "block_len": k}
+    resolved = {"n_blocks": n, "block_len": k, "tail_exponent": xi}
+    return successes, (1.0 - math.exp(-xi)) ** (n * k), "two_sided", resolved
 
 
-def _kernel_ct_honest(params, trials, master_seed, cell_index):
-    n = int(params.get("n_blocks", 2))
-    k = int(params.get("block_len", 2))
-    config = ProtocolConfig(n, k)
-    seeds = _trial_seeds(master_seed, "ct_honest", cell_index, trials)
-    successes = 0
-    for seed in seeds:
-        res = run_coin_toss(config, seed=int(seed))
-        successes += res.verdict.accepted
-    return successes, 1.0, "exact", {"n_blocks": n, "block_len": k}
-
-
-def _kernel_ct_sendback(params, trials, master_seed, cell_index):
-    n = int(params.get("n_blocks", 2))
-    k = int(params.get("block_len", 1))
-    half = bool(params.get("half_disclosure", True))
-    config = ProtocolConfig(n, k)
-    seeds = _trial_seeds(master_seed, "ct_sendback", cell_index, trials)
-    successes = 0
-    for seed in seeds:
-        res = run_coin_toss(
-            config, strategy_b=SendBack(), enforce_half_disclosure=half, seed=int(seed)
-        )
-        if half:
-            successes += res.verdict.accepted
-        else:
-            successes += res.verdict.accepted and res.lot == 0
+def _kernel_ct(params, trials, master_seed, cell_index, scenario="ct_honest"):
+    """Honest coin toss, or a mirroring peer (ct_sendback) that passes staged
+    disclosure only by guessing, and forces the zero lot without it."""
+    mirror = scenario == "ct_sendback"
+    config = ProtocolConfig(params.get("n_blocks", 2), params.get("block_len", 1 if mirror else 2))
+    n, k = config.n_blocks, config.block_len
+    half = params.get("half_disclosure", True)
+    if not isinstance(half, (bool, np.bool_)):
+        raise ValueError(f"half_disclosure must be true or false, got {half!r}")
+    half = bool(half)
+    successes = _engine_successes(
+        config, trials, _cell_rng(master_seed, scenario, cell_index),
+        (lambda b: b.accepted) if half else (lambda b: b.accepted & (b.lot == 0)),
+        coin_toss=True, mirror=mirror, staged=half,
+    )
+    if not mirror:
+        return successes, 1.0, "exact", {"n_blocks": n, "block_len": k}
     resolved = {"n_blocks": n, "block_len": k, "half_disclosure": half}
     if half:
         return successes, float(mirror_guess_acceptance(n, k)), "two_sided", resolved
     return successes, 1.0, "exact", resolved
 
 
-def _kernel_tailed_completion(params, trials, master_seed, cell_index):
-    n = int(params.get("n_blocks", 2))
-    k = int(params.get("block_len", 2))
-    xi = float(params.get("tail_exponent", 4.0))
-    config = ProtocolConfig(n, k, tail_exponent=xi)
-    seeds = _trial_seeds(master_seed, "tailed_completion", cell_index, trials)
-    successes = 0
-    for seed in seeds:
-        res = run_bit_commitment(config, seed=int(seed))
-        successes += res.verdict.accepted and res.verdict.bit == res.committed_bit
-    reference = (1.0 - math.exp(-xi)) ** (n * k)
-    resolved = {"n_blocks": n, "block_len": k, "tail_exponent": xi}
-    return successes, reference, "two_sided", resolved
-
-
 _KERNELS = {
     "identification": _kernel_identification,
     "parity_guess": _kernel_parity_guess,
     "cheat_detection": _kernel_cheat_detection,
-    "bc_honest": _kernel_bc_honest,
-    "ct_honest": _kernel_ct_honest,
-    "ct_sendback": _kernel_ct_sendback,
-    "tailed_completion": _kernel_tailed_completion,
+    "bc_honest": _kernel_bc,
+    "ct_honest": _kernel_ct,
+    "ct_sendback": partial(_kernel_ct, scenario="ct_sendback"),
+    "tailed_completion": partial(_kernel_bc, scenario="tailed_completion"),
 }
 
 

@@ -9,7 +9,6 @@ state has arrived.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -147,21 +146,6 @@ def _check_hermitian(m: np.ndarray) -> None:
         raise ValueError("gamma operator must be Hermitian")
 
 
-def _sym_eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form spectral decomposition of a real symmetric 2x2 matrix."""
-    a, b, c = float(m[0, 0]), float(m[1, 1]), float(m[0, 1])
-    if c == 0.0:
-        if a <= b:
-            return np.array([a, b]), np.eye(2)
-        return np.array([b, a]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    mean = 0.5 * (a + b)
-    r = math.hypot(0.5 * (a - b), c)
-    v_hi = np.array([c, (mean + r) - a])
-    v_hi /= math.hypot(v_hi[0], v_hi[1])
-    v_lo = np.array([-v_hi[1], v_hi[0]])
-    return np.array([mean - r, mean + r]), np.column_stack([v_lo, v_hi])
-
-
 def helstrom_error(
     prior: PriorPair,
     gamma: GammaOperator | np.ndarray,
@@ -184,10 +168,7 @@ def helstrom_error(
         raise ValueError("accessible mass must be a probability")
     _check_hermitian(matrix)
 
-    if matrix.shape == (2, 2):
-        vals, vecs = _sym_eig2(matrix)
-    else:
-        vals, vecs = np.linalg.eigh(matrix)
+    vals, vecs = np.linalg.eigh(matrix)
 
     neg = vals < 0.0
     error = mass * (prior.p0 + float(vals[neg].sum()))

@@ -34,6 +34,7 @@ __all__ = [
     "alpha",
     "pc_parity_plain",
     "pc_parity_block_bound",
+    "pc_parity_optimal",
     "p_fixed_block",
     "p_acc_fixed",
     "parity_posterior",
@@ -218,6 +219,31 @@ def pc_parity_block_bound(n_blocks: int, block_len: int) -> float:
     total = even + odd
     term = 1.0 / total if total.bit_length() <= 1020 else 0.0
     return 0.5 + term
+
+
+def _half_binomial(n: int) -> np.ndarray:
+    """Bin(n, 1/2) probabilities, each rounded once from the exact ratio."""
+    return np.array([comb(n, i) / (1 << n) for i in range(n + 1)])
+
+
+@lru_cache(maxsize=None)
+def pc_parity_optimal(n_blocks: int, block_len: int) -> float:
+    """Exact optimal parity-guess success from the count evidence at half access.
+
+    With l one-blocks (weight C(N, l) / 2^N) the fired ones follow
+    Bin(l k, 1/2) and the fired zeros Bin((N - l) k, 1/2); the optimal guess
+    names the heavier parity for each evidence pair (a, b), so the success
+    sums max over parity of sum_l C(N,l) C(l k, a) C((N-l) k, b) / 2^(N + N k).
+    """
+    _validate_nk(n_blocks, block_len)
+    n_channels = n_blocks * block_len
+    weights = np.zeros((2, n_channels + 1, n_channels + 1))
+    prior = _half_binomial(n_blocks)
+    for level in range(n_blocks + 1):
+        ones = _half_binomial(level * block_len)
+        zeros = _half_binomial(n_channels - level * block_len)
+        weights[level % 2, : ones.size, : zeros.size] += prior[level] * np.outer(ones, zeros)
+    return float(weights.max(axis=0).sum())
 
 
 def p_fixed_block(block_len: int) -> float:

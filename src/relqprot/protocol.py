@@ -3,14 +3,18 @@
 Runs execute on a continuous event timeline: quantum states enter the
 channels at t = 0, each detector outcome occurs at a random light-cone
 coordinate, classical disclosure happens at the receiver-chosen time, and
-verification fires once the full state extent has become accessible.  All
-randomness flows through named substreams split off one seed, so a run is a
-pure function of (config, strategies, seed).
+verification fires once the full state extent has become accessible.
+
+One array engine, :func:`simulate`, runs any number of independent
+instances as ``(trials, channels)`` arrays drawn from one generator; a
+single run is its ``trials=1`` case rendered as an event transcript, so a
+run is a pure function of (config, strategies, seed).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -20,12 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .parity import (
-    Secret,
-    block_string_parity,
-    exact_parity_guesser,
-    sample_secret,
-)
+from .measurement import Channel
+from .parity import exact_parity_guesser
+from .parity import sample_secret  # noqa: F401  (bound here for tracers that wrap it)
 from .wavepacket import StretchedState, delayed_overlap
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "EarlyGuessReport",
     "BitCommitmentResult",
     "CoinTossResult",
+    "Batch",
+    "simulate",
     "accessible_horizon",
     "run_bit_commitment",
     "run_coin_toss",
@@ -60,8 +63,31 @@ class AbortReason(str, Enum):
     INCONSISTENT_DISCLOSURE = "INCONSISTENT_DISCLOSURE"
 
 
+# Verdict codes: 0 accepts, and i + 1 aborts for the i-th AbortReason.
+_REASONS = tuple(AbortReason)
+_CODE = {reason: i + 1 for i, reason in enumerate(_REASONS)}
+
+# Outcome codes: 0 and 1 are the internal bit an outcome revealed, PERP the
+# orthogonal complement.  This is the only mapping from codes to text.
+PERP = 2
+_OUTCOME_TEXT = tuple(ch.value for ch in (Channel.CH0, Channel.CH1, Channel.PERP))
+
+
 class AuditError(RuntimeError):
     """A transcript violated causality or the disclosure phase ordering."""
+
+
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not numeric or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -86,6 +112,11 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_blocks", "block_len", "master_seed"):
+            _integer(name, getattr(self, name))
+        for name in ("width", "separation", "channel_delay", "tail_exponent", "disclosure_time"):
+            if getattr(self, name) is not None or name not in ("tail_exponent", "disclosure_time"):
+                _real(name, getattr(self, name))
         if self.n_blocks < 1 or self.block_len < 1:
             raise ValueError("n_blocks and block_len must be at least 1")
         if not self.width > 0:
@@ -226,28 +257,36 @@ class CoinTossResult:
     early_guess: EarlyGuessReport | None = None
 
 
-_KIND_ORDER = {
-    "emit": 0,
-    "mirror": 1,
-    "detect": 2,
-    "early_guess": 3,
-    "disclose": 4,
-    "verdict": 5,
-}
+# ------------------------------------------------------------------- engine
 
 
-def _event_key(event: Event):
-    sub = event.payload.get("phase", event.payload.get("channel", -1))
-    return (event.t, _KIND_ORDER.get(event.kind, 9), sub)
+@dataclass(frozen=True)
+class Batch:
+    """Result of :func:`simulate`, one row per trial.
 
+    ``code`` is the verdict code (0 accepts), ``channel`` the first failing
+    channel (-1 when accepted), and ``by_b`` marks aborts B found in A's
+    direction.  ``committed`` is the parity of A's block values and
+    ``parity_a``/``parity_b`` those of the two announcements.  ``ab`` and
+    ``ba`` (coin toss only) hold (taus, outcome codes, bits, blocks) arrays.
+    """
 
-def _finish_transcript(events: list[Event]) -> Transcript:
-    return Transcript(sorted(events, key=_event_key))
+    code: np.ndarray
+    channel: np.ndarray
+    by_b: np.ndarray
+    committed: np.ndarray
+    parity_a: np.ndarray
+    parity_b: np.ndarray | None
+    ab: tuple
+    ba: tuple | None = None
 
+    @property
+    def accepted(self) -> np.ndarray:
+        return self.code == 0
 
-def _rng_streams(seed: int, count: int):
-    root = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(count)]
+    @property
+    def lot(self) -> np.ndarray:
+        return self.parity_a ^ self.parity_b
 
 
 @lru_cache(maxsize=None)
@@ -264,138 +303,200 @@ def _delay_pass_probability(
     return delayed_overlap(honest.rear, honest)
 
 
-def _sample_outcomes(config: ProtocolConfig, bits, rng, shift: float = 0.0):
-    """Draw (tau, outcome) per channel for honestly prepared states.
+def _draw_secret(config: ProtocolConfig, trials: int, rng):
+    """Block values, then a uniform channel permutation, per trial.
 
-    Fire coordinates follow the two-hump density (shifted for mirrored
-    states); an outcome inside a nominal hump window reveals the internal
-    bit, anything else lands in the orthogonal complement.
+    Channel c carries slot perm[c], which belongs to block perm[c] // k, as
+    in ``BlockCode``.  Returns (parity, channel blocks, channel bits).
     """
+    values = rng.integers(0, 2, (trials, config.n_blocks))
+    perm = np.argsort(rng.random((trials, config.n_channels)), axis=1)
+    blocks = perm // config.block_len
+    return values.sum(axis=1) % 2, blocks, values[np.arange(trials)[:, None], blocks]
+
+
+def _parity(config: ProtocolConfig, bits):
+    return bits.sum(axis=1) // config.block_len % 2
+
+
+def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
+    """Fire coordinates (moved by ``shift`` on the receiver's light cone) and
+    outcome codes: inside a nominal hump window an outcome reveals the bit,
+    anywhere else it lands in the orthogonal complement."""
+    taus = state.sample_fire_time(rng, bits.shape) + shift
+    front, rear = state.hump_windows()
+    return taus, np.where(front.contains(taus) | rear.contains(taus), bits, PERP)
+
+
+def _mirror_plan(config: ProtocolConfig, bits):
+    """Block ids a mirroring peer fabricates for its full announcement.
+
+    Channels are grouped by announced value, in index order, into blocks of
+    block_len; when the value totals cannot form such blocks (which implies
+    some guess is wrong anyway) a flat sequential grouping is announced.
+    """
+    k = config.block_len
+    ones = np.cumsum(bits, axis=1)
+    zeros = np.arange(1, config.n_channels + 1) - ones
+    plan = np.where(bits == 1, zeros[:, -1:] // k + (ones - 1) // k, (zeros - 1) // k)
+    return np.where(ones[:, -1:] % k == 0, plan, np.arange(config.n_channels) // k)
+
+
+def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
+    """Full-access verification of one direction, per trial.
+
+    Scans channels in index order: a channel that was not disclosed, never
+    fired within the full nominal extent, fired orthogonally, or fired
+    against its announced bit aborts at the first such channel.  Announced
+    block structure is then checked for shape (every block exactly block_len
+    channels) and per-block uniformity, in block order.  Block ids must lie
+    in [0, n_blocks).  Returns (verdict code, failing channel) arrays.
+    """
+    trials, nk = bits.shape
+    n, k = config.n_blocks, config.block_len
+    rows = np.arange(trials)
+    reason = np.where(
+        bits < 0, _CODE[AbortReason.INCONSISTENT_DISCLOSURE], np.where(
+            taus > config.full_access_horizon, _CODE[AbortReason.SILENT_AT_FULL_ACCESS], np.where(
+                outcomes == PERP, _CODE[AbortReason.PERP_OUTCOME],
+                np.where(outcomes != bits, _CODE[AbortReason.WRONG_CHANNEL], 0))))
+    first = (reason != 0).argmax(axis=1)
+    code = reason[rows, first]
+    channel = np.where(code != 0, first, -1)
+
+    # per (trial, block): announced channels and announced ones
+    flat = (blocks + n * rows[:, None]).ravel()
+    counts = np.bincount(flat, minlength=trials * n).reshape(trials, n)
+    ones = np.bincount(flat, bits.ravel(), trials * n).reshape(trials, n)
+    misshapen = (counts != k) & (counts != 0)
+    if misshapen.any():
+        failed = (code == 0) & misshapen.any(axis=1)
+        block = misshapen.argmax(axis=1)[:, None]
+        code[failed] = _CODE[AbortReason.INCONSISTENT_DISCLOSURE]
+        channel[failed] = (blocks == block).argmax(axis=1)[failed]
+    mixed = (ones != 0) & (ones != counts)
+    if mixed.any():
+        failed = (code == 0) & mixed.any(axis=1)
+        # every block of a row still open holds exactly k channels, so sorting
+        # by (block, channel) lays its blocks out as consecutive runs of k
+        order = np.argsort(blocks * nk + np.arange(nk), axis=1)
+        grouped = bits[rows[:, None], order].reshape(trials, n, k)
+        differs = (grouped != grouped[:, :, :1]).reshape(trials, nk)
+        code[failed] = _CODE[AbortReason.BLOCK_MISMATCH]
+        channel[failed] = order[rows, differs.argmax(axis=1)][failed]
+    return code, channel
+
+
+def simulate(
+    config: ProtocolConfig,
+    trials: int,
+    rng,
+    coin_toss: bool = False,
+    delayed_blocks: Iterable[int] = (),
+    mirror: bool = False,
+    staged: bool = True,
+) -> Batch:
+    """Run ``trials`` independent instances as (trials, channels) arrays.
+
+    ``rng`` is a numpy Generator or a seed.  Draw order: A's block values and
+    permutation, B's (honest coin toss), the A->B fire coordinates, the
+    delayed-block outcomes, the B->A coordinates, then a mirror's blind
+    guesses.  A mirror (``SendBack``) returns A's own states, which reach A
+    one channel delay later on A's light cone; with ``staged`` disclosure it
+    must announce the hidden half before seeing it.  Every announcement that
+    a party checks is verified in full.
+    """
+    rng = np.random.default_rng(rng)
     state = config.make_state(0)
-    n = len(bits)
-    pick_rear = rng.random(n) < 0.5
-    u = rng.random(n)
-    taus = np.where(pick_rear, state.rear.ppf(u), state.front.ppf(u)) + shift
-    windows = state.hump_windows()
-    records = []
-    for c in range(n):
-        tau = float(taus[c])
-        in_window = any(w.contains(tau) for w in windows)
-        outcome = f"ch{bits[c]}" if in_window else "perp"
-        records.append((tau, outcome))
-    return records
+    committed, blocks_a, bits_a = _draw_secret(config, trials, rng)
+    if coin_toss and not mirror:
+        _, blocks_b, bits_b = _draw_secret(config, trials, rng)
+    taus, outcomes = _sample_outcomes(state, bits_a, rng)
+    if delayed_blocks:
+        p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
+        delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
+        count = int(np.count_nonzero(delayed))
+        taus[delayed] = state.rear.ppf(rng.random(count))
+        outcomes[delayed] = np.where(rng.random(count) < p_pass, bits_a[delayed], PERP)
+    ab = (taus, outcomes, bits_a, blocks_a)
+    if mirror:  # the mirroring peer checks nothing
+        code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)
+    else:
+        code, channel = _verify_announcement(config, *ab)
+    by_b = code != 0
+    if not coin_toss:
+        return Batch(code, channel, by_b, committed, _parity(config, bits_a), None, ab)
+
+    if mirror:
+        taus, outcomes = _sample_outcomes(state, bits_a, rng, shift=config.channel_delay)
+        bits_b, blocks_b = bits_a, blocks_a
+        if staged:
+            hidden = blocks_a >= (config.n_blocks + 1) // 2
+            bits_b = bits_a.copy()
+            bits_b[hidden] = rng.integers(0, 2, int(np.count_nonzero(hidden)))
+            blocks_b = _mirror_plan(config, bits_b)
+    else:
+        taus, outcomes = _sample_outcomes(state, bits_b, rng)
+    ba = (taus, outcomes, bits_b, blocks_b)
+    code_ba, channel_ba = _verify_announcement(config, *ba)
+    code, channel = np.where(by_b, code, code_ba), np.where(by_b, channel, channel_ba)
+    parities = _parity(config, bits_a), _parity(config, bits_b)
+    return Batch(code, channel, by_b, committed, *parities, ab, ba)
 
 
-def _apply_delays(config: ProtocolConfig, records, delayed_channels, bits, rng):
-    """Overwrite delayed channels with the cheat-detection outcome law."""
-    if not delayed_channels:
-        return records
-    p_pass = _delay_pass_probability(
-        config.width, config.separation, config.tail_exponent
-    )
-    state = config.make_state(0)
-    taus = state.rear.ppf(rng.random(len(delayed_channels)))
-    coins = rng.random(len(delayed_channels))
-    for i, c in enumerate(delayed_channels):
-        outcome = f"ch{bits[c]}" if coins[i] < p_pass else "perp"
-        records[c] = (float(taus[i]), outcome)
-    return records
+# ---------------------------------------------------------------- rendering
 
 
-def _detect_events(config, records, actor, direction):
-    events = []
-    horizon = config.full_access_horizon
-    for c, (tau, outcome) in enumerate(records):
-        if tau <= horizon:
-            events.append(
-                Event(
-                    tau + config.channel_delay,
-                    actor,
-                    "detect",
-                    {"channel": c, "outcome": outcome, "tau": tau, "direction": direction},
-                )
-            )
-    return events
+_KIND_ORDER = {
+    "emit": 0,
+    "mirror": 1,
+    "detect": 2,
+    "early_guess": 3,
+    "disclose": 4,
+    "verdict": 5,
+}
 
 
-def _fired_values(config, records, horizon):
-    """Channel values visible from outcomes fired at or before ``horizon``."""
-    visible = {}
-    for c, (tau, outcome) in enumerate(records):
-        if tau <= horizon and outcome != "perp":
-            visible[c] = int(outcome[2])
-    return visible
+def _event_key(event: Event):
+    sub = event.payload.get("phase", event.payload.get("channel", -1))
+    return (event.t, _KIND_ORDER.get(event.kind, 9), sub)
 
 
-def _make_guess(config, records, committed_bit, actor, direction, events):
-    visible = _fired_values(config, records, config.tau_d)
+def _detect_events(config, taus, outcomes, actor, direction):
+    return [
+        Event(tau + config.channel_delay, actor, "detect",
+              {"channel": c, "outcome": _OUTCOME_TEXT[out], "tau": tau, "direction": direction})
+        for c, (tau, out) in enumerate(zip(taus, outcomes))
+        if tau <= config.full_access_horizon
+    ]
+
+
+def _make_guess(config, taus, outcomes, committed_bit, events):
+    """Receiver B's optimal guess from the A->B outcomes fired by tau_d."""
+    visible = {
+        c: out for c, (tau, out) in enumerate(zip(taus, outcomes)) if tau <= config.tau_d and out != PERP
+    }
     guess = exact_parity_guesser(visible, config.n_blocks, config.block_len)
-    events.append(
-        Event(
-            config.tau_d + config.channel_delay,
-            actor,
-            "early_guess",
-            {
-                "fired": {str(c): b for c, b in sorted(visible.items())},
-                "direction": direction,
-                "guess": guess.guess,
-                "confidence": guess.confidence,
-            },
-        )
-    )
+    payload = {"fired": {str(c): b for c, b in visible.items()}, "direction": "A->B",
+               "guess": guess.guess, "confidence": guess.confidence}
+    events.append(Event(config.tau_d + config.channel_delay, "B", "early_guess", payload))
     return EarlyGuessReport(
         guess.guess, guess.confidence, committed_bit, guess.guess == committed_bit
     )
 
 
-def _disclose_items(secret: Secret, channels) -> list[dict]:
-    return [
-        {"channel": c, "bit": secret.channel_bits[c], "block": secret.code.block_of(c)}
-        for c in channels
-    ]
+def _disclose(config, events, actor, phase, bits, blocks, channels) -> None:
+    items = [{"channel": c, "bit": bits[c], "block": blocks[c]} for c in channels]
+    t_d = config.tau_d + config.channel_delay
+    events.append(Event(t_d, actor, "disclose", {"phase": phase, "channels": items}))
 
 
-def _verify_announcement(config, records, announced):
-    """Full-access verification of one direction; None means all consistent.
-
-    Scans channels in index order: a channel that never fired within the full
-    nominal extent, fired orthogonally, or fired against its announced bit
-    aborts immediately.  Announced block structure is then checked for shape
-    (every block exactly block_len channels) and per-block uniformity.
-    """
-    nk = config.n_channels
-    horizon = config.full_access_horizon
-    for c in range(nk):
-        if c not in announced:
-            return c, AbortReason.INCONSISTENT_DISCLOSURE
-        tau, outcome = records[c]
-        if tau > horizon:
-            return c, AbortReason.SILENT_AT_FULL_ACCESS
-        if outcome == "perp":
-            return c, AbortReason.PERP_OUTCOME
-        if int(outcome[2]) != announced[c][0]:
-            return c, AbortReason.WRONG_CHANNEL
-    extras = sorted(set(announced) - set(range(nk)))
-    if extras:
-        return extras[0], AbortReason.INCONSISTENT_DISCLOSURE
-    groups: dict[int, list[int]] = {}
-    for c, (_, blk) in announced.items():
-        groups.setdefault(blk, []).append(c)
-    for blk in sorted(groups):
-        if len(groups[blk]) != config.block_len:
-            return min(groups[blk]), AbortReason.INCONSISTENT_DISCLOSURE
-    for blk in sorted(groups):
-        chans = sorted(groups[blk])
-        first_bit = announced[chans[0]][0]
-        for c in chans[1:]:
-            if announced[c][0] != first_bit:
-                return c, AbortReason.BLOCK_MISMATCH
-    return None
-
-
-def _announced_parity(config, announced) -> int:
-    bits = [announced[c][0] for c in range(config.n_channels)]
-    return block_string_parity(bits, config.block_len)
+def _verdict(batch: Batch, bit) -> Verdict:
+    """Trial 0's verdict; ``bit`` is what an acceptance announces."""
+    code = int(batch.code[0])
+    if code == 0:
+        return Verdict(True, bit=int(bit[0]))
+    return Verdict(False, channel=int(batch.channel[0]), reason=_REASONS[code - 1])
 
 
 def run_bit_commitment(
@@ -415,75 +516,32 @@ def run_bit_commitment(
         raise ValueError("sender strategy must be Honest or DelayBlocks")
     if not isinstance(strategy_b, (Honest, EarlyGuess)):
         raise ValueError("receiver strategy must be Honest or EarlyGuess")
-    rng_a, rng_b = _rng_streams(config.master_seed if seed is None else seed, 2)
-    secret = sample_secret(config.n_blocks, config.block_len, rng_a)
-    delayed_blocks: frozenset[int] = frozenset()
-    if isinstance(strategy_a, DelayBlocks):
-        delayed_blocks = strategy_a.blocks
-        if any(not 0 <= b < config.n_blocks for b in delayed_blocks):
-            raise ValueError("delayed block index out of range")
-    delayed_channels = [
-        c for c in range(config.n_channels) if secret.code.block_of(c) in delayed_blocks
-    ]
-    delayed_set = frozenset(delayed_channels)
+    delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
+    if any(not 0 <= b < config.n_blocks for b in delayed):
+        raise ValueError("delayed block index out of range")
+    seed = config.master_seed if seed is None else seed
+    batch = simulate(config, 1, seed, delayed_blocks=delayed)
+    committed = int(batch.committed[0])
+    taus, outcomes, bits, blocks = (a[0].tolist() for a in batch.ab)
+    nk = config.n_channels
 
     events = [
-        Event(0.0, "A", "emit", {"channel": c, "delayed": c in delayed_set})
-        for c in range(config.n_channels)
+        Event(0.0, "A", "emit", {"channel": c, "delayed": blocks[c] in delayed})
+        for c in range(nk)
     ]
-    records = _sample_outcomes(config, secret.channel_bits, rng_b)
-    records = _apply_delays(config, records, delayed_channels, secret.channel_bits, rng_b)
-    events.extend(_detect_events(config, records, "B", "A->B"))
-
+    events.extend(_detect_events(config, taus, outcomes, "B", "A->B"))
     early = None
     if isinstance(strategy_b, EarlyGuess):
-        early = _make_guess(config, records, secret.parity, "B", "A->B", events)
+        early = _make_guess(config, taus, outcomes, committed, events)
+    _disclose(config, events, "A", 1, bits, blocks, range(nk))
 
-    t_d = config.tau_d + config.channel_delay
-    announced = {c: (secret.channel_bits[c], secret.code.block_of(c)) for c in range(config.n_channels)}
-    events.append(
-        Event(
-            t_d,
-            "A",
-            "disclose",
-            {"phase": 1, "channels": _disclose_items(secret, range(config.n_channels))},
-        )
-    )
-
-    failure = _verify_announcement(config, records, announced)
-    if failure is None:
-        verdict = Verdict(True, bit=_announced_parity(config, announced))
-    else:
-        verdict = Verdict(False, channel=failure[0], reason=failure[1])
+    verdict = _verdict(batch, batch.parity_a)
     t_verify = config.full_access_horizon + config.channel_delay
     events.append(Event(t_verify, "B", "verdict", {"verdict": verdict.code()}))
 
-    transcript = _finish_transcript(events)
+    transcript = Transcript(sorted(events, key=_event_key))
     audit_transcript(transcript, config)
-    return BitCommitmentResult(transcript, verdict, secret.parity, early)
-
-
-def _mirror_phase_plan(config, known, guesses):
-    """Block ids a mirroring peer fabricates for its full announcement.
-
-    Channels are grouped by announced value into blocks of block_len; when
-    the value totals cannot form such blocks (which implies some guess is
-    wrong anyway) a flat sequential grouping is announced instead and fails
-    the structural check.
-    """
-    values = dict(known)
-    values.update(guesses)
-    ones = sum(values.values())
-    if ones % config.block_len:
-        return {c: c // config.block_len for c in range(config.n_channels)}
-    plan = {}
-    next_block = 0
-    for value in (0, 1):
-        chans = sorted(c for c, v in values.items() if v == value)
-        for i, c in enumerate(chans):
-            plan[c] = next_block + i // config.block_len
-        next_block += len(chans) // config.block_len
-    return plan
+    return BitCommitmentResult(transcript, verdict, committed, early)
 
 
 def run_coin_toss(
@@ -505,103 +563,48 @@ def run_coin_toss(
         raise ValueError("only an honest initiator is modeled for the coin toss")
     if not isinstance(strategy_b, (Honest, EarlyGuess, SendBack)):
         raise ValueError("peer strategy must be Honest, EarlyGuess, or SendBack")
-    rng_a, rng_b, rng_ma, rng_mb = _rng_streams(
-        config.master_seed if seed is None else seed, 4
-    )
-    nk = config.n_channels
-    secret_a = sample_secret(config.n_blocks, config.block_len, rng_a)
     mirror = isinstance(strategy_b, SendBack)
-    secret_b = None if mirror else sample_secret(config.n_blocks, config.block_len, rng_b)
+    seed = config.master_seed if seed is None else seed
+    batch = simulate(
+        config, 1, seed, coin_toss=True, mirror=mirror, staged=enforce_half_disclosure
+    )
+    taus_ab, outcomes_ab, bits_a, blocks_a = (a[0].tolist() for a in batch.ab)
+    taus_ba, outcomes_ba, bits_b, blocks_b = (a[0].tolist() for a in batch.ba)
+    nk = config.n_channels
 
     events = [
         Event(0.0, "A", "emit", {"channel": c, "direction": "A->B"}) for c in range(nk)
     ]
-    if mirror:
-        events.extend(
-            Event(config.channel_delay, "B", "mirror", {"channel": c}) for c in range(nk)
-        )
-    else:
-        events.extend(
-            Event(0.0, "B", "emit", {"channel": c, "direction": "B->A"}) for c in range(nk)
-        )
-
-    records_ab = _sample_outcomes(config, secret_a.channel_bits, rng_mb)
-    if mirror:
-        records_ba = _sample_outcomes(
-            config, secret_a.channel_bits, rng_ma, shift=2.0 * config.channel_delay
-        )
-    else:
-        records_ba = _sample_outcomes(config, secret_b.channel_bits, rng_ma)
-    events.extend(_detect_events(config, records_ab, "B", "A->B"))
-    events.extend(_detect_events(config, records_ba, "A", "B->A"))
-
+    events.extend(
+        Event(config.channel_delay, "B", "mirror", {"channel": c}) if mirror
+        else Event(0.0, "B", "emit", {"channel": c, "direction": "B->A"})
+        for c in range(nk)
+    )
+    events.extend(_detect_events(config, taus_ab, outcomes_ab, "B", "A->B"))
+    events.extend(_detect_events(config, taus_ba, outcomes_ba, "A", "B->A"))
     early = None
     if isinstance(strategy_b, EarlyGuess):
-        early = _make_guess(config, records_ab, secret_a.parity, "B", "A->B", events)
-
-    t_d = config.tau_d + config.channel_delay
-    announced_a: dict[int, tuple[int, int]] = {}
-    announced_b: dict[int, tuple[int, int]] = {}
-
-    def disclose(actor, phase, items):
-        events.append(Event(t_d, actor, "disclose", {"phase": phase, "channels": items}))
-        target = announced_a if actor == "A" else announced_b
-        for item in items:
-            target[item["channel"]] = (item["bit"], item["block"])
+        early = _make_guess(config, taus_ab, outcomes_ab, int(batch.committed[0]), events)
 
     if enforce_half_disclosure:
         first_blocks = (config.n_blocks + 1) // 2
-        s_a = [c for c in range(nk) if secret_a.code.block_of(c) < first_blocks]
-        comp = [c for c in range(nk) if c not in set(s_a)]
-        disclose("A", 1, _disclose_items(secret_a, s_a))
-        if mirror:
-            known = {c: secret_a.channel_bits[c] for c in s_a}
-            guesses = {c: int(rng_b.integers(0, 2)) for c in comp}
-            plan = _mirror_phase_plan(config, known, guesses)
-            disclose(
-                "B",
-                2,
-                [{"channel": c, "bit": guesses[c], "block": plan[c]} for c in comp],
-            )
-            disclose("A", 3, _disclose_items(secret_a, comp))
-            disclose(
-                "B",
-                4,
-                [{"channel": c, "bit": known[c], "block": plan[c]} for c in s_a],
-            )
-        else:
-            disclose("B", 2, _disclose_items(secret_b, comp))
-            disclose("A", 3, _disclose_items(secret_a, comp))
-            disclose("B", 4, _disclose_items(secret_b, s_a))
+        s_a = [c for c in range(nk) if blocks_a[c] < first_blocks]
+        comp = [c for c in range(nk) if blocks_a[c] >= first_blocks]
+        _disclose(config, events, "A", 1, bits_a, blocks_a, s_a)
+        _disclose(config, events, "B", 2, bits_b, blocks_b, comp)
+        _disclose(config, events, "A", 3, bits_a, blocks_a, comp)
+        _disclose(config, events, "B", 4, bits_b, blocks_b, s_a)
     else:
-        disclose("A", 1, _disclose_items(secret_a, range(nk)))
-        if mirror:
-            copied = [
-                {"channel": c, "bit": secret_a.channel_bits[c], "block": secret_a.code.block_of(c)}
-                for c in range(nk)
-            ]
-            disclose("B", 2, copied)
-        else:
-            disclose("B", 2, _disclose_items(secret_b, range(nk)))
+        _disclose(config, events, "A", 1, bits_a, blocks_a, range(nk))
+        _disclose(config, events, "B", 2, bits_b, blocks_b, range(nk))
 
-    failure = None
-    failed_by = None
-    if not mirror:
-        failure = _verify_announcement(config, records_ab, announced_a)
-        failed_by = "B" if failure else None
-    if failure is None:
-        failure = _verify_announcement(config, records_ba, announced_b)
-        failed_by = "A" if failure else failed_by
-
-    lot = winner = parity_a = parity_b = None
-    if failure is None:
-        parity_a = _announced_parity(config, announced_a)
-        parity_b = _announced_parity(config, announced_b)
-        lot = parity_a ^ parity_b
+    lot = winner = parity_a = parity_b = failed_by = None
+    verdict = _verdict(batch, batch.lot)
+    if verdict.accepted:
+        parity_a, parity_b, lot = int(batch.parity_a[0]), int(batch.parity_b[0]), verdict.bit
         winner = "A" if lot == 0 else "B"
-        verdict = Verdict(True, bit=lot)
     else:
-        verdict = Verdict(False, channel=failure[0], reason=failure[1])
+        failed_by = "B" if batch.by_b[0] else "A"
     t_verify = config.full_access_horizon + config.channel_delay
     payload = {"verdict": verdict.code()}
     if failed_by:
@@ -610,7 +613,7 @@ def run_coin_toss(
         payload["winner"] = winner
     events.append(Event(t_verify, failed_by or "A", "verdict", payload))
 
-    transcript = _finish_transcript(events)
+    transcript = Transcript(sorted(events, key=_event_key))
     audit_transcript(transcript, config)
     return CoinTossResult(transcript, verdict, lot, winner, parity_a, parity_b, early)
 
@@ -618,11 +621,11 @@ def run_coin_toss(
 def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
     """Exact acceptance probability of the blind mirror under staged disclosure.
 
-    Enumerates the mirror's whole guess space against the exact distribution
-    of the initiator's still-undisclosed channel values.  Each of the
-    ``floor(N/2) * k`` required values is an independent fair guess, so the
-    exhaustive sum collapses to 2 to the minus that count; the enumeration is
-    kept literal as an independent check of that collapse.
+    Sums, over the exact distribution of the initiator's still-undisclosed
+    channel values, the chance that the mirror's ``floor(N/2) * k`` fair
+    guesses hit that truth exactly: only the guess equal to the truth passes,
+    so each truth contributes its probability times 2^-m.  The truth law is
+    checked to normalize.
     """
     if n_blocks < 1 or block_len < 1:
         raise ValueError("n_blocks and block_len must be at least 1")
@@ -632,7 +635,6 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
         return Fraction(1)
     if m > 16:
         raise ValueError("exhaustive mirror oracle limited to 16 guessed channels")
-    total = Fraction(0)
     truth_mass = Fraction(0)
     for truth in range(1 << m):
         ones = truth.bit_count()
@@ -643,12 +645,9 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
             continue
         p_truth = Fraction(comb(hidden_blocks, level), 2**hidden_blocks) / comb(m, ones)
         truth_mass += p_truth
-        for guess in range(1 << m):
-            if guess == truth:
-                total += p_truth * Fraction(1, 2**m)
     if truth_mass != 1:
         raise AssertionError("truth distribution failed to normalize")
-    return total
+    return truth_mass * Fraction(1, 2**m)
 
 
 def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
@@ -674,7 +673,7 @@ def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
             d = detections.get((direction, int(c_str)))
             if d is None or d.t > e.t + 1e-12:
                 raise AuditError("guess cites a record outside its light cone")
-            if d.payload["outcome"] != f"ch{bit}":
+            if bit not in (0, 1) or d.payload["outcome"] != _OUTCOME_TEXT[bit]:
                 raise AuditError("guess cites a record inconsistent with the log")
     phases = [e.payload["phase"] for e in transcript.events if e.kind == "disclose"]
     if phases != sorted(phases):

@@ -173,8 +173,9 @@ class Window:
     def shifted(self, delta: float) -> "Window":
         return Window(self.lo + delta, self.hi + delta)
 
-    def contains(self, tau: float) -> bool:
-        return self.lo < tau < self.hi
+    def contains(self, tau):
+        """Open-interval membership; elementwise for an array of coordinates."""
+        return (self.lo < tau) & (tau < self.hi)
 
 
 @dataclass(frozen=True)
@@ -248,13 +249,11 @@ class StretchedState:
         return StretchedState(self.front.translated(delta), self.rear.translated(delta), self.bit)
 
     def sample_fire_time(self, rng, size=None):
-        """Draw outcome coordinates from the two-hump density (hump first)."""
+        """Draw outcome coordinates from the two-hump density: a fair coin
+        picks the hump, then one inverse-CDF draw places the outcome in it."""
         pick_rear = rng.random(size) < 0.5
-        u = rng.random(size)
-        if size is None:
-            hump = self.rear if pick_rear else self.front
-            return float(hump.ppf(u))
-        return np.where(pick_rear, self.rear.ppf(u), self.front.ppf(u))
+        tau = self.front.ppf(rng.random(size)) + self.separation * pick_rear
+        return float(tau) if size is None else tau
 
 
 def window_mass(state: StretchedState, window: Window) -> float:

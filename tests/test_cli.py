@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relqprot import experiment
 from relqprot.cli import main
 
 
@@ -270,9 +271,10 @@ def test_sweep_usage_errors(tmp_path, capsys):
     assert code == 2 and "delayed_blocks" in err
 
 
-def test_sweep_failure_exit_code(tmp_path, capsys):
-    # guessing success at small k > 1 sits far above the nominal block bound,
-    # so this cell is graded FAIL and the sweep exits 5
+def test_sweep_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # every parity_guess cell is graded against its exact optimal success, so
+    # a wrong reference is planted to grade this cell FAIL; the sweep exits 5
+    monkeypatch.setattr(experiment, "pc_parity_optimal", lambda n, k: 0.5)
     spec = {
         "scenario": "parity_guess",
         "grid": {"n_blocks": [2], "block_len": [2]},
@@ -287,3 +289,40 @@ def test_sweep_failure_exit_code(tmp_path, capsys):
     )
     assert code == 5
     assert "FAIL" in out
+
+
+def test_run_rejects_non_integer_block_count(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_blocks": 2.5, "block_len": 1}))
+    code, _, err = run_cli(
+        ["run", "bc", "--config", str(path), "--out", str(tmp_path / "t.jsonl")], capsys
+    )
+    assert code == 2 and "n_blocks must be an integer" in err
+
+
+def _sweep_usage_error(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _, err = run_cli(
+        ["sweep", "--config", str(spec_path), "--out", str(tmp_path / "s.csv")], capsys
+    )
+    assert code == 2
+    return err
+
+
+def test_sweep_rejects_string_half_disclosure(tmp_path, capsys):
+    err = _sweep_usage_error(tmp_path, capsys, {
+        "scenario": "ct_sendback",
+        "grid": {"n_blocks": 2, "block_len": 1, "half_disclosure": ["false"]},
+        "trials": 10,
+    })
+    assert "half_disclosure must be true or false" in err
+
+
+def test_sweep_rejects_null_tail_exponent(tmp_path, capsys):
+    err = _sweep_usage_error(tmp_path, capsys, {
+        "scenario": "tailed_completion",
+        "grid": {"tail_exponent": [None]},
+        "trials": 10,
+    })
+    assert "tail_exponent must be a finite number" in err

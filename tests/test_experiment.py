@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from relqprot import experiment
 from relqprot.experiment import (
     CompareResult,
     ExperimentSpec,
@@ -37,6 +38,10 @@ def test_spec_validation():
         spec(grid={"n_blocks": [2]})  # not a parameter of identification
     with pytest.raises(ValueError):
         spec(trials=0)
+    with pytest.raises(ValueError):
+        spec(trials=2.5)
+    with pytest.raises(ValueError):
+        ExperimentSpec("bc_honest", (("n_blocks", (2,)),), 10, master_seed=1.5)
     with pytest.raises(ValueError):
         ExperimentSpec.from_dict({"scenario": "identification", "grid": {"tau_d": 5.0},
                                   "trials": 10, "bogus": 1})
@@ -186,3 +191,40 @@ def test_cheat_detection_rejects_bad_delayed_count():
         run_experiment(spec(scenario="cheat_detection",
                             grid={"n_blocks": 2, "block_len": 1, "delayed_blocks": 3},
                             trials=10))
+
+
+@pytest.mark.parametrize(
+    "scenario, grid",
+    [
+        ("bc_honest", {"n_blocks": [2, 3], "block_len": 2}),
+        ("ct_honest", {"n_blocks": [2, 3], "block_len": 2}),
+        ("ct_sendback", {"n_blocks": [2, 4], "block_len": 1, "half_disclosure": [True, False]}),
+        ("tailed_completion", {"n_blocks": 2, "block_len": 2, "tail_exponent": [2.0, 4.0]}),
+    ],
+)
+def test_protocol_sweeps_byte_identical_for_any_jobs(scenario, grid):
+    s = spec(scenario=scenario, grid=grid, trials=300)
+    serial = cells_to_json(run_experiment(s, jobs=1))
+    assert serial == cells_to_json(run_experiment(s, jobs=2))
+    assert all(cell["pass"] for cell in json.loads(serial)["cells"])
+
+
+def test_engine_chunks_cover_every_trial(monkeypatch):
+    monkeypatch.setattr(experiment, "_CHUNK_ELEMENTS", 12)  # 3 trials per chunk
+    (cell,) = run_experiment(spec(scenario="bc_honest",
+                                  grid={"n_blocks": 2, "block_len": 2}, trials=50))
+    assert cell.successes == 50
+    (cell,) = run_experiment(spec(scenario="ct_sendback",
+                                  grid={"n_blocks": 2, "block_len": 2}, trials=2000))
+    assert cell.passed and 0 < cell.successes < 2000
+
+
+def test_parity_guess_cells_graded_against_exact_optimum():
+    cells = run_experiment(spec(scenario="parity_guess",
+                                grid={"n_blocks": [2, 4], "block_len": [1, 2, 4]},
+                                trials=20_000))
+    assert all(c.mode == "two_sided" and c.passed for c in cells)
+    reference = {(c.params_dict["n_blocks"], c.params_dict["block_len"]): c.reference
+                 for c in cells}
+    assert reference[(2, 1)] == 0.625
+    assert reference[(2, 2)] == 25 / 32

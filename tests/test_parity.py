@@ -21,6 +21,7 @@ from relqprot.parity import (
     p_fixed_block,
     parity_posterior,
     pc_parity_block_bound,
+    pc_parity_optimal,
     pc_parity_plain,
     random_block_code,
     sample_secret,
@@ -124,6 +125,26 @@ def test_pc_parity_block_bound():
         assert pc_parity_block_bound(n, 1) == pytest.approx(0.5 + 2.0**-n)
     assert pc_parity_block_bound(2, 2) == pytest.approx(0.5 + 2.0**-3)
     assert pc_parity_block_bound(60, 10) == pytest.approx(0.5)
+
+
+def test_pc_parity_optimal_exact_values():
+    # the exact optimal successes at k > 1 that criterion 9b checks
+    exact = {
+        (2, 2): Fraction(25, 32),
+        (3, 2): Fraction(11, 16),
+        (4, 2): Fraction(323, 512),
+        (2, 3): Fraction(113, 128),
+        (3, 3): Fraction(3231, 4096),
+        (4, 3): Fraction(1469, 2048),
+    }
+    for (n, k), value in exact.items():
+        assert pc_parity_optimal(n, k) == float(value)
+        assert pc_parity_optimal(n, k) > pc_parity_block_bound(n, k)
+    for n in range(1, 13):
+        assert pc_parity_optimal(n, 1) == pc_parity_plain(n)
+    assert pc_parity_optimal(8, 8) == pytest.approx(0.7366, abs=1e-4)
+    with pytest.raises(ValueError):
+        pc_parity_optimal(0, 2)
 
 
 def test_fixed_block_probabilities():

@@ -8,6 +8,7 @@ import pytest
 
 from relqprot.protocol import (
     HONEST,
+    PERP,
     AbortReason,
     AuditError,
     DelayBlocks,
@@ -16,11 +17,13 @@ from relqprot.protocol import (
     ProtocolConfig,
     SendBack,
     Transcript,
+    _verify_announcement,
     accessible_horizon,
     audit_transcript,
     mirror_guess_acceptance,
     run_bit_commitment,
     run_coin_toss,
+    simulate,
     transcript_to_jsonl,
 )
 from relqprot.wavepacket import Window, window_mass
@@ -47,6 +50,24 @@ def test_config_validation():
     cfg = ProtocolConfig(2, 2, channel_delay=3.0, disclosure_time=4.0)
     assert cfg.tau_d == 4.0
     assert config().tau_d == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n_blocks": 2.5},
+        {"n_blocks": 2.0},
+        {"block_len": True},
+        {"master_seed": "3"},
+        {"width": "1"},
+        {"tail_exponent": math.nan},
+        {"channel_delay": None},
+        {"disclosure_time": math.inf},
+    ],
+)
+def test_config_rejects_mistyped_fields(fields):
+    with pytest.raises(ValueError):
+        ProtocolConfig(**{"n_blocks": 2, "block_len": 2, **fields})
 
 
 def test_accessible_horizon():
@@ -338,3 +359,109 @@ def test_channel_delay_shifts_wall_times_only():
     t_fast = [e.t for e in res_fast.transcript.events if e.kind == "detect"]
     t_slow = [e.t for e in res_slow.transcript.events if e.kind == "detect"]
     assert all(abs((b - a) - 3.0) < 1e-12 for a, b in zip(t_fast, t_slow))
+
+
+# -------------------------------------------------------------------- engine
+
+
+def _verdict_code(batch):
+    code = int(batch.code[0])
+    if code == 0:
+        return None
+    return f"ABORTED:{int(batch.channel[0])}:{list(AbortReason)[code - 1].value}"
+
+
+def test_verification_reports_the_first_failing_channel():
+    cfg = config(2, 2)  # full access at tau = 9
+    bits = np.array([[0, 1, 1, 0]] * 7)
+    blocks = np.array([[0, 1, 1, 0]] * 7)
+    outcomes = bits.copy()
+    taus = np.zeros(bits.shape)
+    outcomes[1, 2] = 1 - bits[1, 2]  # wrong channel at 2, before ...
+    outcomes[1, 3] = PERP  # ... an orthogonal outcome at 3
+    outcomes[2, 1] = PERP
+    taus[3, 0], outcomes[3, 0] = 9.5, PERP  # silent beats perp on one channel
+    bits[4, 1] = -1  # channel 1 left undisclosed
+    blocks[5] = [1, 0, 1, 1]  # block 0 has one channel, block 1 three
+    bits[6] = outcomes[6] = [1, 0, 0, 1]
+    blocks[6] = [1, 1, 0, 0]  # both blocks mixed; block 0 is checked first
+    code, channel = _verify_announcement(cfg, taus, outcomes, bits, blocks)
+    reasons = [None if c == 0 else list(AbortReason)[c - 1] for c in code]
+    assert reasons == [
+        None,
+        AbortReason.WRONG_CHANNEL,
+        AbortReason.PERP_OUTCOME,
+        AbortReason.SILENT_AT_FULL_ACCESS,
+        AbortReason.INCONSISTENT_DISCLOSURE,
+        AbortReason.INCONSISTENT_DISCLOSURE,
+        AbortReason.BLOCK_MISMATCH,
+    ]
+    assert channel.tolist() == [-1, 2, 1, 0, 1, 1, 3]
+
+
+@pytest.mark.parametrize(
+    "run, options",
+    [
+        (lambda cfg, s: run_bit_commitment(cfg, seed=s), {}),
+        (lambda cfg, s: run_bit_commitment(cfg, DelayBlocks([1]), seed=s), {"delayed_blocks": {1}}),
+        (lambda cfg, s: run_coin_toss(cfg, seed=s), {"coin_toss": True}),
+        (
+            lambda cfg, s: run_coin_toss(cfg, strategy_b=SendBack(), seed=s),
+            {"coin_toss": True, "mirror": True},
+        ),
+        (
+            lambda cfg, s: run_coin_toss(
+                cfg, strategy_b=SendBack(), enforce_half_disclosure=False, seed=s
+            ),
+            {"coin_toss": True, "mirror": True, "staged": False},
+        ),
+    ],
+)
+def test_runs_are_the_engine_at_one_trial(run, options):
+    cfg = config(4, 1)
+    codes = set()
+    for seed in range(40):
+        res = run(cfg, seed)
+        batch = simulate(cfg, 1, seed, **options)
+        expected = _verdict_code(batch)
+        if expected is None:
+            bit = batch.lot[0] if options.get("coin_toss") else batch.parity_a[0]
+            expected = f"ACCEPTED:{bit}"
+        assert res.verdict.code() == expected
+        codes.add(expected.split(":")[0])
+    if options.get("delayed_blocks") or options.get("staged", True) and options.get("mirror"):
+        assert codes == {"ACCEPTED", "ABORTED"}
+
+
+def test_batched_trials_match_single_runs_in_distribution():
+    cfg = config(2, 2)
+    batch = simulate(cfg, 4000, np.random.default_rng(8), delayed_blocks={0})
+    assert batch.code.shape == (4000,)
+    rate = float(np.mean(batch.accepted))
+    assert abs(rate - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / 4000)
+    aborted = batch.code[~batch.accepted]
+    assert set(aborted.tolist()) == {list(AbortReason).index(AbortReason.PERP_OUTCOME) + 1}
+    accepted = batch.accepted
+    assert np.array_equal(batch.parity_a[accepted], batch.committed[accepted])
+
+
+def test_mirror_arrival_time_follows_the_round_trip():
+    # A reflected hump leaves A at its emission coordinate, crosses the
+    # channel twice, and reaches A after 2d: the front hump, emitted in
+    # (-w, w), is logged in (2d - w, 2d + w) = (5, 7).  Its light-cone
+    # coordinate at A is then shifted by d = 3 into (2, 4), outside both hump
+    # windows, and the rear hump lies beyond full access, so the mirror fails.
+    d = 3.0
+    cfg = config(2, 2, channel_delay=d)
+    reflected = []
+    for seed in range(30):
+        res = run_coin_toss(cfg, strategy_b=SendBack(), seed=seed)
+        assert not res.verdict.accepted
+        assert res.verdict.reason in {AbortReason.PERP_OUTCOME, AbortReason.SILENT_AT_FULL_ACCESS}
+        for e in res.transcript.events:
+            if e.kind == "detect" and e.payload["direction"] == "B->A":
+                reflected.append(e)
+                assert e.t == pytest.approx(e.payload["tau"] + d)
+                assert 2 * d - cfg.width < e.t < 2 * d + cfg.width
+                assert e.payload["outcome"] == "perp"
+    assert reflected
