@@ -22,25 +22,17 @@ from .experiment import (
     wilson_interval,
 )
 from .measurement import (
-    Channel,
-    Consistency,
-    DetectionRecord,
     GammaOperator,
     HelstromResult,
     PriorPair,
     composite_error,
     helstrom_error,
-    sample_cheat_detection,
-    sample_detection,
-    verify_outcome,
 )
 from .parity import (
     DEFAULT_ENUM_BOUND,
-    BlockCode,
     EnumerationBoundError,
     InconsistentEvidenceError,
     ParityGuess,
-    Secret,
     alpha,
     block_string_parity,
     count_block_strings,
@@ -52,8 +44,6 @@ from .parity import (
     pc_parity_block_bound,
     pc_parity_optimal,
     pc_parity_plain,
-    random_block_code,
-    sample_secret,
 )
 from .protocol import (
     HONEST,
@@ -75,6 +65,7 @@ from .protocol import (
     mirror_guess_acceptance,
     run_bit_commitment,
     run_coin_toss,
+    sample_secret,
     transcript_to_jsonl,
 )
 from .wavepacket import (
@@ -82,8 +73,6 @@ from .wavepacket import (
     Waveform,
     Window,
     delayed_overlap,
-    translate,
-    window_mass,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,8 +1,9 @@
 """Command-line front end: closed forms, exact counts, single runs, sweeps.
 
-Exit codes: 0 success or accepted run, 2 usage error, 3 enumeration bound
-exceeded, 4 aborted run, 5 sweep with at least one failing cell (1 is the
-generic failure code for a count verification mismatch).
+Exit codes: 0 success or accepted run, 2 usage error (including an
+unwritable output path), 3 enumeration bound exceeded, 4 aborted run, 5 sweep
+with at least one failing cell (1 is the generic failure code for a count
+verification mismatch).
 """
 
 from __future__ import annotations
@@ -262,8 +263,12 @@ def _cmd_run(args) -> int:
         early = result.early_guess
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(transcript_to_jsonl(result.transcript))
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(transcript_to_jsonl(result.transcript))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(result.verdict.code())
     if early is not None:
         outcome = "correct" if early.correct else "wrong"
@@ -288,8 +293,12 @@ def _cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = cells_to_csv(cells) if args.format == "csv" else cells_to_json(cells)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     for cell in cells:
         params = " ".join(f"{k}={v}" for k, v in cell.params)
         status = "pass" if cell.passed else "FAIL"

@@ -1,87 +1,27 @@
-"""Detector outcomes and discrimination bounds for partially accessible states.
+"""Discrimination bounds for partially accessible states.
 
-Covers the waiting-mode detector that fires at a random light-cone coordinate,
-the three-outcome verification measurement (two orthogonal internal channels
-plus the orthogonal complement of the agreed profile), and the minimum-error
-discriminator used to quantify what a receiver can learn while only part of a
-state has arrived.
+Covers the minimum-error discriminator used to quantify what a receiver can
+learn while only part of a state has arrived, and the error of a detector
+that either fires inside the accessible window or stays silent.  Detector
+outcomes themselves are drawn and verified by the protocol engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .wavepacket import StretchedState, Waveform, Window, delayed_overlap
-
 __all__ = [
-    "Channel",
-    "Consistency",
-    "DetectionRecord",
     "PriorPair",
     "GammaOperator",
     "HelstromResult",
-    "sample_detection",
-    "verify_outcome",
-    "sample_cheat_detection",
     "helstrom_error",
     "composite_error",
 ]
 
 _HERMITIAN_TOL = 1e-12
-
-
-class Channel(Enum):
-    """Possible detector outcomes for a single quantum channel."""
-
-    CH0 = "ch0"
-    CH1 = "ch1"
-    PERP = "perp"
-    SILENT = "silent"
-
-    @classmethod
-    def for_bit(cls, bit: int) -> "Channel":
-        if bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-        return cls.CH0 if bit == 0 else cls.CH1
-
-    @property
-    def bit(self) -> int | None:
-        """Internal bit revealed by the outcome, if any."""
-        if self is Channel.CH0:
-            return 0
-        if self is Channel.CH1:
-            return 1
-        return None
-
-
-class Consistency(Enum):
-    CONSISTENT = "consistent"
-    DISCREPANT = "discrepant"
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """One detector outcome: a channel plus the firing coordinate.
-
-    Silent records carry no firing coordinate by construction.
-    """
-
-    channel: Channel
-    fire_time: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.channel is Channel.SILENT and self.fire_time is not None:
-            raise ValueError("silent records carry no fire time")
-        if self.channel is not Channel.SILENT and self.fire_time is None:
-            raise ValueError("fired records need a fire time")
-
-    @property
-    def fired(self) -> bool:
-        return self.channel is not Channel.SILENT
 
 
 @dataclass(frozen=True)
@@ -185,62 +125,3 @@ def composite_error(p_fire: float, pe_fired: float, pe_silent: float) -> float:
             raise ValueError(f"{name} must be a probability")
     return pe_silent * (1.0 - p_fire) + pe_fired * p_fire
 
-
-def sample_detection(
-    state: StretchedState,
-    horizon: float,
-    rng,
-    windows: Sequence[Window] | None = None,
-) -> DetectionRecord:
-    """Draw one detector record for a state watched up to ``horizon``.
-
-    The firing coordinate follows the two-hump density.  A coordinate beyond
-    the horizon has not been seen yet (silent record); one inside the horizon
-    but outside the admissible ``windows`` lands in the orthogonal complement
-    of the agreed profile.  With no windows given, every fired outcome reveals
-    the internal bit, which is exact for compact honest states.
-    """
-    tau = float(state.sample_fire_time(rng))
-    if tau > horizon:
-        return DetectionRecord(Channel.SILENT)
-    if windows is not None and not any(w.contains(tau) for w in windows):
-        return DetectionRecord(Channel.PERP, tau)
-    return DetectionRecord(Channel.for_bit(state.bit), tau)
-
-
-def verify_outcome(announced_bit: int, record: DetectionRecord) -> Consistency:
-    """Compare a fired record against the classically announced bit."""
-    if announced_bit not in (0, 1):
-        raise ValueError("announced bit must be 0 or 1")
-    if record.channel is Channel.SILENT:
-        raise ValueError("silent records have no outcome to verify")
-    if record.channel is Channel.for_bit(announced_bit):
-        return Consistency.CONSISTENT
-    return Consistency.DISCREPANT
-
-
-def sample_cheat_detection(
-    delayed,
-    honest: StretchedState,
-    rng,
-    announced_bit: int | None = None,
-    overlap: float | None = None,
-) -> DetectionRecord:
-    """Draw the verification outcome produced by a delayed replacement state.
-
-    The record lands in the announced honest channel with the squared overlap
-    probability and in the orthogonal complement otherwise, the unique
-    completion of the three-outcome measurement for a state that misses the
-    front hump.  Passing a precomputed ``overlap`` skips the quadrature.
-    """
-    p = delayed_overlap(delayed, honest) if overlap is None else overlap
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("overlap must be a probability")
-    bit = honest.bit if announced_bit is None else announced_bit
-    if isinstance(delayed, Waveform):
-        tau = float(delayed.sample(rng))
-    else:
-        tau = float(delayed.sample_fire_time(rng))
-    if rng.random() < p:
-        return DetectionRecord(Channel.for_bit(bit), tau)
-    return DetectionRecord(Channel.PERP, tau)

@@ -11,7 +11,6 @@ implements the optimal parity guesser from partial detector evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -23,11 +22,7 @@ __all__ = [
     "DEFAULT_ENUM_BOUND",
     "EnumerationBoundError",
     "InconsistentEvidenceError",
-    "BlockCode",
-    "Secret",
     "ParityGuess",
-    "random_block_code",
-    "sample_secret",
     "block_string_parity",
     "count_block_strings",
     "count_block_strings_closed",
@@ -57,67 +52,6 @@ def _validate_nk(n_blocks: int, block_len: int) -> None:
         raise ValueError("n_blocks must be at least 1")
     if block_len < 1:
         raise ValueError("block_len must be at least 1")
-
-
-@dataclass(frozen=True)
-class BlockCode:
-    """Block parameters plus the secret channel-to-slot permutation.
-
-    ``assignment[channel]`` is the slot index the channel carries; slot s
-    belongs to block s // block_len.  The permutation is what hides the block
-    boundaries from the receiver.
-    """
-
-    n_blocks: int
-    block_len: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _validate_nk(self.n_blocks, self.block_len)
-        n = self.n_blocks * self.block_len
-        if sorted(self.assignment) != list(range(n)):
-            raise ValueError("assignment must be a permutation of the channel slots")
-
-    @property
-    def n_channels(self) -> int:
-        return self.n_blocks * self.block_len
-
-    def block_of(self, channel: int) -> int:
-        return self.assignment[channel] // self.block_len
-
-    def channel_bits(self, values: Sequence[int]) -> tuple[int, ...]:
-        """Spread the per-block values over the channels."""
-        if len(values) != self.n_blocks:
-            raise ValueError("one value per block required")
-        return tuple(values[self.block_of(c)] for c in range(self.n_channels))
-
-
-class Secret(NamedTuple):
-    """A sender's committed secret: parity, block values, and the shuffle."""
-
-    parity: int
-    values: tuple[int, ...]
-    code: BlockCode
-    channel_bits: tuple[int, ...]
-
-
-def random_block_code(n_blocks: int, block_len: int, rng) -> BlockCode:
-    _validate_nk(n_blocks, block_len)
-    perm = tuple(int(x) for x in rng.permutation(n_blocks * block_len))
-    return BlockCode(n_blocks, block_len, perm)
-
-
-def sample_secret(n_blocks: int, block_len: int, rng) -> Secret:
-    """Draw a secret the way an honest sender does.
-
-    Block values are uniform over all 2^N vectors (equivalently: a uniform
-    parity followed by a uniform vector in that parity class) and the channel
-    assignment is a uniform permutation.
-    """
-    values = tuple(int(b) for b in rng.integers(0, 2, n_blocks))
-    code = random_block_code(n_blocks, block_len, rng)
-    parity = sum(values) % 2
-    return Secret(parity, values, code, code.channel_bits(values))
 
 
 def block_string_parity(bits: Sequence[int], block_len: int) -> int:

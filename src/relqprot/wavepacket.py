@@ -24,8 +24,6 @@ __all__ = [
     "Waveform",
     "StretchedState",
     "Window",
-    "window_mass",
-    "translate",
     "delayed_overlap",
 ]
 
@@ -150,9 +148,6 @@ class Waveform:
         # a uniform draw can be exactly 0, which ndtri maps to -inf
         return self.center + self.sigma * ndtri(np.maximum(q, 1e-300))
 
-    def sample(self, rng, size=None):
-        return self.ppf(rng.random(size))
-
     def translated(self, delta: float) -> "Waveform":
         return replace(self, center=self.center + delta)
 
@@ -237,6 +232,7 @@ class StretchedState:
         return 0.5 * (self.front.density(tau) + self.rear.density(tau))
 
     def window_mass(self, window: Window) -> float:
+        """Probability that a detector confined to ``window`` obtains an outcome."""
         return 0.5 * (
             self.front.mass(window.lo, window.hi) + self.rear.mass(window.lo, window.hi)
         )
@@ -246,6 +242,7 @@ class StretchedState:
         return (Window(*self.front.nominal_interval), Window(*self.rear.nominal_interval))
 
     def translated(self, delta: float) -> "StretchedState":
+        """Shift all amplitude along the light cone; the internal bit is untouched."""
         return StretchedState(self.front.translated(delta), self.rear.translated(delta), self.bit)
 
     def sample_fire_time(self, rng, size=None):
@@ -254,16 +251,6 @@ class StretchedState:
         pick_rear = rng.random(size) < 0.5
         tau = self.front.ppf(rng.random(size)) + self.separation * pick_rear
         return float(tau) if size is None else tau
-
-
-def window_mass(state: StretchedState, window: Window) -> float:
-    """Probability that a detector confined to ``window`` obtains an outcome."""
-    return state.window_mass(window)
-
-
-def translate(state: StretchedState, delta: float) -> StretchedState:
-    """Shift all amplitude along the light cone; the internal bit is untouched."""
-    return state.translated(delta)
 
 
 def _amplitude_parts(state) -> list[tuple[float, Waveform]]:

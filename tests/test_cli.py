@@ -300,12 +300,11 @@ def test_run_rejects_non_integer_block_count(tmp_path, capsys):
     assert code == 2 and "n_blocks must be an integer" in err
 
 
-def _sweep_usage_error(tmp_path, capsys, spec):
+def _sweep_usage_error(tmp_path, capsys, spec, out=None):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    code, _, err = run_cli(
-        ["sweep", "--config", str(spec_path), "--out", str(tmp_path / "s.csv")], capsys
-    )
+    out = tmp_path / "s.csv" if out is None else out
+    code, _, err = run_cli(["sweep", "--config", str(spec_path), "--out", str(out)], capsys)
     assert code == 2
     return err
 
@@ -326,3 +325,35 @@ def test_sweep_rejects_null_tail_exponent(tmp_path, capsys):
         "trials": 10,
     })
     assert "tail_exponent must be a finite number" in err
+
+
+def test_run_reports_unwritable_out_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "t.jsonl"
+    code, stdout, err = run_cli(["run", "bc", "-N", "2", "-k", "2", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert stdout == ""
+
+
+def test_sweep_reports_unwritable_out_path(tmp_path, capsys):
+    err = _sweep_usage_error(tmp_path, capsys, {
+        "scenario": "identification",
+        "grid": {"tau_d": [5.0]},
+        "trials": 10,
+    }, out=tmp_path / "missing" / "s.csv")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_mirror_beyond_sixteen_guessed_channels(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "scenario": "ct_sendback",
+        "grid": {"n_blocks": [34], "block_len": [1]},
+        "trials": 200,
+        "master_seed": 7,
+    }))
+    code, out, _ = run_cli(
+        ["sweep", "--config", str(spec_path), "--out", str(tmp_path / "s.csv")], capsys
+    )
+    assert code == 0
+    assert "reference=7.62939453125e-06" in out and "pass" in out

@@ -5,16 +5,18 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from relqprot.measurement import (
-    Channel,
-    Consistency,
-    DetectionRecord,
     GammaOperator,
     PriorPair,
     composite_error,
     helstrom_error,
-    sample_cheat_detection,
-    sample_detection,
-    verify_outcome,
+)
+from relqprot.protocol import (
+    PERP,
+    AbortReason,
+    ProtocolConfig,
+    _delay_pass_probability,
+    _verify_announcement,
+    simulate,
 )
 from relqprot.wavepacket import StretchedState, Window, delayed_overlap
 
@@ -23,128 +25,105 @@ def make_state(bit=0, xi=None):
     return StretchedState.create(1.0, 8.0, bit=bit, tail_exponent=xi)
 
 
+def code(reason):
+    return list(AbortReason).index(reason) + 1
+
+
 # ---------------------------------------------------------------- detection
+# Detector outcomes as the protocol engine draws them: ``batch.ab`` holds the
+# A->B fire coordinates, outcome codes, announced bits and block ids.
 
 
 def test_full_access_always_fires_in_matching_channel():
-    rng = np.random.default_rng(0)
-    for bit in (0, 1):
-        state = make_state(bit)
-        for _ in range(400):
-            rec = sample_detection(state, horizon=9.0, rng=rng)
-            assert rec.channel is Channel.for_bit(bit)
-            assert rec.fire_time is not None
+    cfg = ProtocolConfig(2, 2)
+    taus, outcomes, bits, _ = simulate(cfg, 400, np.random.default_rng(0)).ab
+    assert np.all(taus <= cfg.full_access_horizon)
+    assert np.array_equal(outcomes, bits)
+    assert set(np.unique(bits).tolist()) == {0, 1}
 
 
 def test_silent_below_support():
-    rng = np.random.default_rng(1)
-    state = make_state(0)
-    for _ in range(200):
-        rec = sample_detection(state, horizon=-2.0, rng=rng)
-        assert rec.channel is Channel.SILENT
-        assert not rec.fired
+    # nothing fires before the front edge, so a horizon of -2 sees no outcome
+    taus = simulate(ProtocolConfig(2, 2), 200, np.random.default_rng(1)).ab[0]
+    assert taus.min() > -1.0
 
 
 def test_fire_frequency_matches_window_mass_over_horizon_grid():
-    # one batch of records probed at several horizons: a record fires by
-    # horizon T exactly when its sampled coordinate lies at or before T
+    # one batch of coordinates probed at several horizons: a channel has fired
+    # by horizon T exactly when its coordinate lies at or before T
     rng = np.random.default_rng(2)
     state = make_state(1)
     n = 100_000
-    times = [
-        sample_detection(state, horizon=math.inf, rng=rng).fire_time for _ in range(n)
-    ]
-    times = np.array(times)
+    taus = simulate(ProtocolConfig(1, 1), n, rng).ab[0].ravel()
     for horizon in (-2.0, 0.0, 2.0, 5.0, 7.5, 9.0):
         p = state.window_mass(Window(-math.inf, horizon)) if horizon > -1 else 0.0
-        freq = np.count_nonzero(times <= horizon) / n
+        freq = np.count_nonzero(taus <= horizon) / n
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(freq - p) <= max(3 * sigma, 2e-4)
 
 
 def test_honest_compact_states_never_land_in_perp():
-    rng = np.random.default_rng(3)
-    state = make_state(0)
-    windows = state.hump_windows()
-    for _ in range(2000):
-        rec = sample_detection(state, horizon=9.0, rng=rng, windows=windows)
-        assert rec.channel is Channel.CH0
+    outcomes = simulate(ProtocolConfig(2, 2), 2000, np.random.default_rng(3)).ab[1]
+    assert not np.any(outcomes == PERP)
 
 
 @pytest.mark.parametrize("xi", [2.0, 4.0])
 def test_tailed_fire_probability_in_covering_window(xi):
+    # an outcome reveals the bit inside the two nominal hump windows, which
+    # together cover the nominal extent, and is orthogonal anywhere else
     rng = np.random.default_rng(4)
     state = make_state(0, xi=xi)
-    window = Window(-1.0, 9.0)
     n = 40_000
-    hits = 0
-    for _ in range(n):
-        rec = sample_detection(state, horizon=9.0, rng=rng, windows=[window])
-        hits += rec.channel is Channel.CH0
-    p_model = state.window_mass(window)
+    _, outcomes, bits, _ = simulate(ProtocolConfig(1, 1, tail_exponent=xi), n, rng).ab
+    revealed = outcomes != PERP
+    assert np.array_equal(outcomes[revealed], bits[revealed])
+    hits = np.count_nonzero(revealed)
+    p_model = sum(state.window_mass(w) for w in state.hump_windows())
     sigma = math.sqrt(p_model * (1 - p_model) / n)
     assert abs(hits / n - p_model) <= 3 * sigma
     assert 1.0 - hits / n <= 1.5 * math.exp(-xi)
-
-
-def test_detection_record_validation():
-    with pytest.raises(ValueError):
-        DetectionRecord(Channel.SILENT, 1.0)
-    with pytest.raises(ValueError):
-        DetectionRecord(Channel.CH0, None)
-    with pytest.raises(ValueError):
-        Channel.for_bit(2)
-    assert Channel.CH1.bit == 1
-    assert Channel.PERP.bit is None
 
 
 # ------------------------------------------------------------- verification
 
 
 def test_verify_outcome_table():
-    fired0 = DetectionRecord(Channel.CH0, 1.0)
-    fired1 = DetectionRecord(Channel.CH1, 1.0)
-    perp = DetectionRecord(Channel.PERP, 1.0)
-    assert verify_outcome(0, fired0) is Consistency.CONSISTENT
-    assert verify_outcome(0, fired1) is Consistency.DISCREPANT
-    assert verify_outcome(1, fired1) is Consistency.CONSISTENT
-    assert verify_outcome(1, perp) is Consistency.DISCREPANT
-    with pytest.raises(ValueError):
-        verify_outcome(1, DetectionRecord(Channel.SILENT))
-    with pytest.raises(ValueError):
-        verify_outcome(2, fired0)
+    # one channel per row, checked against its announced bit
+    taus = np.array([[1.0], [1.0], [1.0], [1.0], [9.5], [1.0]])
+    outcomes = np.array([[0], [1], [1], [PERP], [1], [0]])
+    announced = np.array([[0], [0], [1], [1], [1], [-1]])
+    verdict, channel = _verify_announcement(
+        ProtocolConfig(1, 1), taus, outcomes, announced, np.zeros((6, 1), dtype=int)
+    )
+    assert verdict.tolist() == [
+        0,
+        code(AbortReason.WRONG_CHANNEL),
+        0,
+        code(AbortReason.PERP_OUTCOME),
+        code(AbortReason.SILENT_AT_FULL_ACCESS),
+        code(AbortReason.INCONSISTENT_DISCLOSURE),
+    ]
+    assert channel.tolist() == [-1, 0, -1, 0, 0, 0]
 
 
 # ---------------------------------------------------------- cheat detection
 
 
 def test_cheat_detection_rear_copy_splits_evenly():
-    rng = np.random.default_rng(5)
-    honest = make_state(1)
-    p = delayed_overlap(honest.rear, honest)
+    cfg = ProtocolConfig(1, 1)
     n = 20_000
-    honest_hits = 0
-    for _ in range(n):
-        rec = sample_cheat_detection(honest.rear, honest, rng, overlap=p)
-        assert rec.channel in (Channel.CH1, Channel.PERP)
-        honest_hits += rec.channel is Channel.CH1
+    taus, outcomes, bits, _ = simulate(cfg, n, np.random.default_rng(5), delayed_blocks={0}).ab
+    assert taus.min() > cfg.separation - cfg.width  # a rear-hump copy only
+    assert np.all((outcomes == bits) | (outcomes == PERP))
     sigma = math.sqrt(0.25 / n)
-    assert abs(honest_hits / n - 0.5) <= 3 * sigma
+    assert abs(np.count_nonzero(outcomes == bits) / n - 0.5) <= 3 * sigma
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_k_delayed_states_all_pass_with_exponential_rate(k):
-    rng = np.random.default_rng(6)
-    honest = make_state(0)
-    p = delayed_overlap(honest.rear, honest)
     n = 20_000
-    all_pass = 0
-    for _ in range(n):
-        ok = True
-        for _ in range(k):
-            rec = sample_cheat_detection(honest.rear, honest, rng, overlap=p)
-            ok = ok and rec.channel is Channel.CH0
-        all_pass += ok
+    batch = simulate(ProtocolConfig(1, k), n, np.random.default_rng(6), delayed_blocks={0})
+    all_pass = np.count_nonzero(batch.accepted)
     ref = 0.5**k
     sigma = math.sqrt(ref * (1 - ref) / n)
     assert abs(all_pass / n - ref) <= 3 * sigma
@@ -159,24 +138,10 @@ def test_k_delayed_states_all_pass_with_exponential_rate(k):
     ],
 )
 def test_admissible_delayed_states_pass_at_most_half(delayed):
-    rng = np.random.default_rng(8)
-    honest = make_state(0)
-    p = delayed_overlap(delayed, honest)
-    n = 5000
-    hits = sum(
-        sample_cheat_detection(delayed, honest, rng, overlap=p).channel is Channel.CH0
-        for _ in range(n)
-    )
-    assert hits / n <= 0.5 + 3 * math.sqrt(0.25 / n)
-
-
-def test_zero_overlap_state_always_lands_in_perp():
-    rng = np.random.default_rng(7)
-    honest = make_state(0)
-    far = honest.rear.translated(30.0)
-    for _ in range(300):
-        rec = sample_cheat_detection(far, honest, rng)
-        assert rec.channel is Channel.PERP
+    # the engine's delayer sends the rear-hump copy, the best admissible state
+    best = _delay_pass_probability(1.0, 8.0, None)
+    assert delayed_overlap(delayed, make_state(0)) <= best + 1e-9
+    assert best <= 0.5 + 1e-9
 
 
 # ----------------------------------------------------------- discrimination

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqprot.parity import (
-    BlockCode,
     EnumerationBoundError,
     InconsistentEvidenceError,
     alpha,
@@ -23,9 +22,8 @@ from relqprot.parity import (
     pc_parity_block_bound,
     pc_parity_optimal,
     pc_parity_plain,
-    random_block_code,
-    sample_secret,
 )
+from relqprot.protocol import ProtocolConfig, sample_secret
 
 
 def pairs_up_to(total_bits):
@@ -233,13 +231,12 @@ def test_guesser_input_validation():
 def test_guess_success_matches_plain_formula(n):
     rng = np.random.default_rng(100 + n)
     trials = 30_000
+    parity, _, bits = sample_secret(ProtocolConfig(n, 1), trials, rng)
+    seen = rng.random((trials, n)) < 0.5
     hits = 0
-    for _ in range(trials):
-        secret = sample_secret(n, 1, rng)
-        fired = {
-            c: secret.channel_bits[c] for c in range(n) if rng.random() < 0.5
-        }
-        hits += exact_parity_guesser(fired, n, 1).guess == secret.parity
+    for secret, row, mask in zip(parity, bits.tolist(), seen):
+        fired = {c: row[c] for c in np.flatnonzero(mask).tolist()}
+        hits += exact_parity_guesser(fired, n, 1).guess == secret
     ref = pc_parity_plain(n)
     sigma = math.sqrt(ref * (1 - ref) / trials)
     assert abs(hits / trials - ref) <= 3 * sigma
@@ -247,34 +244,40 @@ def test_guess_success_matches_plain_formula(n):
 
 
 # ------------------------------------------------------------------ sampling
+# ``sample_secret`` is the protocol engine's batched sender: (parity, channel
+# blocks, channel bits) for every trial.
 
 
 def test_block_code_structure():
-    code = BlockCode(2, 2, (3, 0, 2, 1))
-    assert code.n_channels == 4
-    assert [code.block_of(c) for c in range(4)] == [1, 0, 1, 0]
-    assert code.channel_bits((0, 1)) == (1, 0, 1, 0)
-    with pytest.raises(ValueError):
-        BlockCode(2, 2, (0, 0, 1, 2))
-    with pytest.raises(ValueError):
-        code.channel_bits((0,))
+    # block values first, then a uniform channel permutation; channel c
+    # carries slot perm[c] of block perm[c] // k and that block's value
+    parity, blocks, bits = sample_secret(ProtocolConfig(2, 2), 5, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    values = rng.integers(0, 2, (5, 2))
+    perm = np.argsort(rng.random((5, 4)), axis=1)
+    assert np.array_equal(blocks, perm // 2)
+    assert np.array_equal(bits, np.take_along_axis(values, blocks, axis=1))
+    assert np.array_equal(parity, values.sum(axis=1) % 2)
 
 
 def test_random_code_is_permutation():
-    rng = np.random.default_rng(8)
-    code = random_block_code(3, 4, rng)
-    assert sorted(code.assignment) == list(range(12))
+    trials = 3000
+    _, blocks, _ = sample_secret(ProtocolConfig(3, 4), trials, np.random.default_rng(8))
+    assert np.array_equal(np.sort(blocks, axis=1), np.tile(np.repeat(np.arange(3), 4), (trials, 1)))
+    # the shuffle hides the blocks: channel 0 lands in each block equally often
+    sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
+    for block in range(3):
+        assert abs(np.count_nonzero(blocks[:, 0] == block) / trials - 1 / 3) <= 3 * sigma
 
 
 def test_sample_secret_consistency():
-    rng = np.random.default_rng(9)
-    parities = 0
-    for _ in range(2000):
-        secret = sample_secret(3, 2, rng)
-        assert secret.parity == sum(secret.values) % 2
-        assert block_string_parity(secret.channel_bits, 2) == secret.parity
-        parities += secret.parity
-    assert abs(parities / 2000 - 0.5) <= 3 * math.sqrt(0.25 / 2000)
+    trials = 2000
+    parity, blocks, bits = sample_secret(ProtocolConfig(3, 2), trials, np.random.default_rng(9))
+    for secret, row_blocks, row_bits in zip(parity, blocks, bits.tolist()):
+        for block in range(3):  # every block of k channels carries one value
+            assert len({row_bits[c] for c in np.flatnonzero(row_blocks == block)}) == 1
+        assert block_string_parity(row_bits, 2) == secret
+    assert abs(parity.mean() - 0.5) <= 3 * math.sqrt(0.25 / trials)
 
 
 def test_block_string_parity_rejects_invalid():

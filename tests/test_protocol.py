@@ -26,7 +26,7 @@ from relqprot.protocol import (
     simulate,
     transcript_to_jsonl,
 )
-from relqprot.wavepacket import Window, window_mass
+from relqprot.wavepacket import Window
 
 
 def config(n=2, k=2, **kwargs):
@@ -76,7 +76,7 @@ def test_accessible_horizon():
     state = cfg.make_state(0)
     # when the horizon reaches separation - width, exactly the front hump shows
     t = cfg.channel_delay + cfg.separation - cfg.width
-    mass = window_mass(state, Window(-math.inf, accessible_horizon(cfg, t)))
+    mass = state.window_mass(Window(-math.inf, accessible_horizon(cfg, t)))
     assert mass == pytest.approx(0.5, abs=1e-12)
     t_full = cfg.channel_delay + cfg.separation + cfg.width
     assert accessible_horizon(cfg, t_full) == cfg.full_access_horizon
@@ -281,6 +281,15 @@ def test_mirror_guess_oracle_values():
     for n, k in [(2, 1), (3, 1), (4, 2), (5, 2)]:
         hidden = (n - (n + 1) // 2) * k
         assert mirror_guess_acceptance(n, k) == Fraction(1, 2**hidden)
+
+
+
+def test_mirror_guess_oracle_beyond_sixteen_guessed_channels():
+    # floor(N/2) * k fair guesses, independent of the truth: 2^-m at any m
+    assert mirror_guess_acceptance(34, 1) == Fraction(1, 2**17)
+    assert mirror_guess_acceptance(35, 1) == Fraction(1, 2**17)
+    assert mirror_guess_acceptance(12, 3) == Fraction(1, 2**18)
+    assert mirror_guess_acceptance(200, 8) == Fraction(1, 2**800)
 
 
 def test_ct_early_guess_reported():

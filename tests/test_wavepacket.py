@@ -11,8 +11,6 @@ from relqprot.wavepacket import (
     Waveform,
     Window,
     delayed_overlap,
-    translate,
-    window_mass,
 )
 
 INF = math.inf
@@ -55,28 +53,28 @@ def test_mass_matches_quadrature_inside_support():
 
 def test_window_mass_trivia():
     s = StretchedState.create(1.0, 8.0, bit=0)
-    assert abs(window_mass(s, Window(-INF, INF)) - 1.0) < 1e-12
-    assert abs(window_mass(s, Window(-1.0, 1.0)) - 0.5) < 1e-12
-    assert window_mass(s, Window(2.0, 6.0)) == 0.0
+    assert abs(s.window_mass(Window(-INF, INF)) - 1.0) < 1e-12
+    assert abs(s.window_mass(Window(-1.0, 1.0)) - 0.5) < 1e-12
+    assert s.window_mass(Window(2.0, 6.0)) == 0.0
     # front plus rear windows carry everything
-    total = window_mass(s, Window(-1.0, 1.0)) + window_mass(s, Window(7.0, 9.0))
+    total = s.window_mass(Window(-1.0, 1.0)) + s.window_mass(Window(7.0, 9.0))
     assert abs(total - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("xi", [2.0, 4.0])
 def test_tailed_window_masses(xi):
     s = StretchedState.create(1.0, 8.0, bit=1, tail_exponent=xi)
-    per_hump = window_mass(s, Window(-1.0, 1.0))
+    per_hump = s.window_mass(Window(-1.0, 1.0))
     assert abs(per_hump - (0.5 - 0.5 * math.exp(-xi))) < 1e-9
-    covering = window_mass(s, Window(-1.0, 9.0))
+    covering = s.window_mass(Window(-1.0, 9.0))
     assert covering < 1.0
     assert 1.0 - covering <= math.exp(-xi)
 
 
 def test_translate_identity_and_bit():
     s = StretchedState.create(1.0, 8.0, bit=1)
-    assert translate(s, 0.0) == s
-    moved = translate(s, 3.25)
+    assert s.translated(0.0) == s
+    moved = s.translated(3.25)
     assert moved.bit == 1
     assert moved.translation == pytest.approx(3.25)
 
@@ -84,9 +82,9 @@ def test_translate_identity_and_bit():
 def test_translate_shifted_front_mass():
     s = StretchedState.create(1.0, 8.0, bit=0)
     delta = 2.75
-    moved = translate(s, delta)
+    moved = s.translated(delta)
     expected = 0.5 * quad_mass(s.front, -1.0, 1.0)
-    assert abs(window_mass(moved, Window(-1 + delta, 1 + delta)) - expected) < 1e-12
+    assert abs(moved.window_mass(Window(-1 + delta, 1 + delta)) - expected) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,8 +97,8 @@ def test_translate_shifted_front_mass():
 def test_mass_is_translation_invariant(delta, lo, span, xi):
     s = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=xi)
     w = Window(lo, lo + span)
-    before = window_mass(s, w)
-    after = window_mass(translate(s, delta), w.shifted(delta))
+    before = s.window_mass(w)
+    after = s.translated(delta).window_mass(w.shifted(delta))
     assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -117,7 +115,7 @@ def test_sampled_fire_times_match_window_mass():
     n = 100_000
     taus = s.sample_fire_time(rng, size=n)
     for horizon in [-0.5, 1.0, 4.0, 7.5, 9.0]:
-        p = window_mass(s, Window(-INF, horizon)) if horizon > -1 else 0.0
+        p = s.window_mass(Window(-INF, horizon)) if horizon > -1 else 0.0
         freq = np.count_nonzero(taus <= horizon) / n
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(freq - p) <= max(3 * sigma, 2e-4)
