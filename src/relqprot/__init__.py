@@ -12,17 +12,14 @@ honest and cheating strategies.
 
 from .experiment import (
     SCENARIOS,
-    CompareResult,
     ExperimentSpec,
     SummaryCell,
     cells_to_csv,
     cells_to_json,
-    compare,
     run_experiment,
     wilson_interval,
 )
 from .measurement import (
-    GammaOperator,
     HelstromResult,
     PriorPair,
     composite_error,
@@ -75,4 +72,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

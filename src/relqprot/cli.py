@@ -9,6 +9,7 @@ verification mismatch).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -48,18 +49,6 @@ EXIT_BOUND = 3
 EXIT_ABORTED = 4
 EXIT_SWEEP_FAILED = 5
 
-_CONFIG_FIELDS = {
-    "n_blocks",
-    "block_len",
-    "width",
-    "separation",
-    "channel_delay",
-    "tail_exponent",
-    "disclosure_time",
-    "master_seed",
-}
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -91,14 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one protocol run")
     run.add_argument("protocol", choices=("bc", "ct"))
     run.add_argument("--config", help="JSON file with protocol parameters")
-    run.add_argument("-N", "--blocks", type=_positive_int)
-    run.add_argument("-k", "--block-len", type=_positive_int)
+    # each dest is the ProtocolConfig field that the flag overrides
+    run.add_argument("-N", "--blocks", dest="n_blocks", type=_positive_int)
+    run.add_argument("-k", "--block-len", dest="block_len", type=_positive_int)
     run.add_argument("--width", type=float)
     run.add_argument("--separation", type=float)
     run.add_argument("--channel-delay", type=float)
     run.add_argument("--xi", "--tail-exponent", dest="tail_exponent", type=float)
     run.add_argument("--disclosure-time", type=float)
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", dest="master_seed", type=int)
     run.add_argument("--strategy-a", choices=("honest", "delay"), default="honest")
     run.add_argument("--delay-blocks", default="0",
                      help="comma-separated block indices withheld by the sender")
@@ -187,27 +177,18 @@ def _load_json(path: str) -> dict:
 
 
 def _build_config(args) -> ProtocolConfig:
-    fields: dict = {}
+    names = {f.name for f in dataclasses.fields(ProtocolConfig)}
+    values: dict = {}
     if args.config:
         data = _load_json(args.config)
-        unknown = set(data) - _CONFIG_FIELDS
+        unknown = set(data) - names
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        fields.update(data)
-    overrides = {
-        "n_blocks": args.blocks,
-        "block_len": args.block_len,
-        "width": args.width,
-        "separation": args.separation,
-        "channel_delay": args.channel_delay,
-        "tail_exponent": args.tail_exponent,
-        "disclosure_time": args.disclosure_time,
-        "master_seed": args.seed,
-    }
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "n_blocks" not in fields or "block_len" not in fields:
+        values.update(data)
+    values.update({n: getattr(args, n) for n in names if getattr(args, n) is not None})
+    if "n_blocks" not in values or "block_len" not in values:
         raise ValueError("n_blocks and block_len are required (flags or config file)")
-    return ProtocolConfig(**fields)
+    return ProtocolConfig(**values)
 
 
 def _cmd_run(args) -> int:

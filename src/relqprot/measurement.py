@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "PriorPair",
-    "GammaOperator",
     "HelstromResult",
     "helstrom_error",
     "composite_error",
@@ -42,79 +41,37 @@ class PriorPair:
         return cls(0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class GammaOperator:
-    """Weighted difference of the two internal density matrices.
-
-    ``matrix`` is p1 * rho1 - p0 * rho0 on the internal space; ``spatial_mass``
-    is the scalar probability of an outcome landing in the accessible window,
-    which multiplies the whole operator for restricted-access discrimination.
-    """
-
-    matrix: np.ndarray
-    spatial_mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("gamma operator must be a square matrix")
-        object.__setattr__(self, "matrix", m)
-        if not 0.0 <= self.spatial_mass <= 1.0:
-            raise ValueError("spatial mass must be a probability")
-
-    @classmethod
-    def from_ensemble(
-        cls,
-        prior: PriorPair,
-        rho0: np.ndarray,
-        rho1: np.ndarray,
-        spatial_mass: float = 1.0,
-    ) -> "GammaOperator":
-        m = prior.p1 * np.asarray(rho1, dtype=float) - prior.p0 * np.asarray(rho0, dtype=float)
-        return cls(m, spatial_mass)
-
-
 class HelstromResult(NamedTuple):
     error: float
     projector_0: np.ndarray
     projector_1: np.ndarray
 
 
-def _check_hermitian(m: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if float(np.abs(m - m.T).max(initial=0.0)) > _HERMITIAN_TOL * scale:
-        raise ValueError("gamma operator must be Hermitian")
-
-
-def helstrom_error(
-    prior: PriorPair,
-    gamma: GammaOperator | np.ndarray,
-    accessible_mass: float | None = None,
-) -> HelstromResult:
-    """Minimum-error discrimination restricted to the accessible window.
+def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> HelstromResult:
+    """Minimum-error discrimination of two internal states at full access.
 
     The optimal binary measurement projects onto the negative eigenspace of
-    the weighted density difference; the residual error is the accessible
-    mass times (p0 + sum of negative eigenvalues).  Orthogonal internal
-    states therefore give zero error whenever an outcome occurs at all.
+    Gamma = p1 * rho1 - p0 * rho0; the residual error is p0 plus the sum of
+    the negative eigenvalues, so orthogonal states give zero error.  When
+    only part of the state is accessible, the detector fires with the
+    window mass and the silent branch is a blind guess:
+    ``composite_error(mass, helstrom_error(...).error, min(p0, p1))``.
     """
-    if isinstance(gamma, GammaOperator):
-        matrix = gamma.matrix
-        mass = gamma.spatial_mass if accessible_mass is None else accessible_mass
-    else:
-        matrix = np.array(gamma, dtype=float)
-        mass = 1.0 if accessible_mass is None else accessible_mass
-    if not 0.0 <= mass <= 1.0:
-        raise ValueError("accessible mass must be a probability")
-    _check_hermitian(matrix)
+    rho0, rho1 = np.asarray(rho0, dtype=float), np.asarray(rho1, dtype=float)
+    if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho1.shape != rho0.shape:
+        raise ValueError("density matrices must be square and of one size")
+    gamma = prior.p1 * rho1 - prior.p0 * rho0
+    scale = max(1.0, float(np.abs(gamma).max(initial=0.0)))
+    if float(np.abs(gamma - gamma.T).max(initial=0.0)) > _HERMITIAN_TOL * scale:
+        raise ValueError("density matrices must be Hermitian")
 
-    vals, vecs = np.linalg.eigh(matrix)
+    vals, vecs = np.linalg.eigh(gamma)
 
     neg = vals < 0.0
-    error = mass * (prior.p0 + float(vals[neg].sum()))
+    error = prior.p0 + float(vals[neg].sum())
     basis = vecs[:, neg]
     proj0 = basis @ basis.T
-    proj1 = np.eye(matrix.shape[0]) - proj0
+    proj1 = np.eye(gamma.shape[0]) - proj0
     return HelstromResult(max(error, 0.0), proj0, proj1)
 
 

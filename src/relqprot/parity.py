@@ -119,19 +119,10 @@ def count_block_strings_closed(n_blocks: int, block_len: int) -> tuple[int, int]
     return result[0], result[block_len % m]
 
 
-def _log2_int(n: int) -> float:
-    if n <= 0:
-        raise ValueError("log2 of a non-positive count")
-    if n.bit_length() <= 900:
-        return math.log2(n)
-    shift = n.bit_length() - 64
-    return math.log2(n >> shift) + shift
-
-
 def alpha(n_blocks: int, block_len: int) -> float:
     """Bits of valid-string entropy per channel, log2(S_even + S_odd) / (N*k)."""
     even, odd = count_block_strings_closed(n_blocks, block_len)
-    return _log2_int(even + odd) / (n_blocks * block_len)
+    return math.log2(even + odd) / (n_blocks * block_len)
 
 
 def pc_parity_plain(n_blocks: int) -> float:

@@ -406,6 +406,8 @@ def simulate(
     must announce the hidden half before seeing it.  Every announcement that
     a party checks is verified in full.
     """
+    if mirror and not coin_toss:
+        raise ValueError("a mirroring peer takes part in the coin toss only")
     rng = np.random.default_rng(rng)
     state = config.make_state(0)
     committed, blocks_a, bits_a = sample_secret(config, trials, rng)
@@ -661,14 +663,13 @@ def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
         raise AuditError("disclosure phases out of order")
 
 
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def transcript_to_jsonl(transcript: Transcript) -> str:
     """Serialize a transcript as one stable JSON object per line."""
     lines = [
-        json.dumps(
-            {"t": e.t, "actor": e.actor, "kind": e.kind, "payload": e.payload},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        _JSONL_ENCODER.encode({"t": e.t, "actor": e.actor, "kind": e.kind, "payload": e.payload})
         for e in transcript.events
     ]
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from relqprot.experiment import ExperimentSpec, run_experiment
-from relqprot.measurement import GammaOperator, PriorPair, helstrom_error
+from relqprot.measurement import PriorPair, helstrom_error
 from relqprot.parity import (
     count_block_strings,
     count_block_strings_closed,
@@ -182,13 +182,15 @@ def test_criterion_7_tailed_completion():
 
 
 def _brute_min_error(p0, p1, rho0, rho1):
-    def err(theta):
-        v = np.array([math.cos(theta), math.sin(theta)])
-        guess1 = np.outer(v, v)
-        return p0 * np.trace(rho0 @ guess1) + p1 * np.trace(rho1 @ (np.eye(2) - guess1))
+    def quad(rho, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return rho[0, 0] * c * c + (rho[0, 1] + rho[1, 0]) * c * s + rho[1, 1] * s * s
+
+    def err(theta):  # guess 1 on the projector onto (cos theta, sin theta)
+        return p0 * quad(rho0, theta) + p1 * (np.trace(rho1) - quad(rho1, theta))
 
     thetas = np.linspace(0.0, math.pi, 2001)
-    values = np.array([err(t) for t in thetas])
+    values = err(thetas)
     i = int(np.argmin(values))
     refined = minimize_scalar(
         err,
@@ -212,12 +214,9 @@ def test_criterion_8_helstrom_oracle_equivalence():
             return m / np.trace(m)
 
         rho0, rho1 = density(), density()
-        res = helstrom_error(prior, GammaOperator.from_ensemble(prior, rho0, rho1))
+        res = helstrom_error(prior, rho0, rho1)
         worst = max(worst, abs(res.error - _brute_min_error(prior.p0, prior.p1, rho0, rho1)))
-    orthogonal = helstrom_error(
-        PriorPair.even(),
-        GammaOperator.from_ensemble(PriorPair.even(), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-    )
+    orthogonal = helstrom_error(PriorPair.even(), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     ok = worst < 1e-6 and orthogonal.error == 0.0
     assert report(
         "criterion 8 (discriminator vs projector search)",

@@ -5,12 +5,9 @@ import pytest
 
 from relqprot import experiment
 from relqprot.experiment import (
-    CompareResult,
     ExperimentSpec,
-    SummaryCell,
     cells_to_csv,
     cells_to_json,
-    compare,
     run_experiment,
     wilson_interval,
 )
@@ -69,34 +66,32 @@ def test_wilson_interval_sanity():
         wilson_interval(0, 0)
 
 
-def make_cell(**overrides):
-    base = dict(
-        scenario="identification",
-        params=(("tau_d", 5.0),),
-        trials=1000,
-        successes=750,
-        estimate=0.75,
-        ci_lo=0.72,
-        ci_hi=0.78,
-        reference=0.75,
-        z=0.0,
-        mode="two_sided",
-        passed=False,
-    )
-    base.update(overrides)
-    return SummaryCell(**base)
+def test_compare_modes(monkeypatch):
+    # every cell passes iff |z| <= 3; a reference of exactly 0 or 1 is
+    # labelled exact and passes only on equality.  References are planted.
+    def graded(scenario, grid, trials, reference):
+        monkeypatch.setattr(experiment, "mirror_guess_acceptance", lambda n, k: reference)
+        monkeypatch.setattr(experiment, "pc_parity_optimal", lambda n, k: reference)
+        (cell,) = run_experiment(spec(scenario=scenario, grid=grid, trials=trials))
+        return cell
 
-
-def test_compare_modes():
-    assert compare(make_cell(z=0.0)) is CompareResult.PASS
-    assert compare(make_cell(z=2.9)) is CompareResult.PASS
-    assert compare(make_cell(z=5.0)) is CompareResult.FAIL
-    assert compare(make_cell(mode="upper", z=-40.0)) is CompareResult.PASS
-    assert compare(make_cell(mode="upper", z=3.5)) is CompareResult.FAIL
-    assert compare(make_cell(mode="exact", estimate=1.0, reference=1.0)) is CompareResult.PASS
-    assert compare(make_cell(mode="exact", estimate=0.999, reference=1.0)) is CompareResult.FAIL
-    with pytest.raises(ValueError):
-        compare(make_cell(mode="mystery"))
+    cell = graded("parity_guess", {"n_blocks": 2, "block_len": 1}, 4000, 0.625)
+    assert (cell.mode, cell.passed) == ("two_sided", True) and abs(cell.z) <= 3.0
+    cell = graded("parity_guess", {"n_blocks": 2, "block_len": 1}, 4000, 0.5)
+    assert (cell.mode, cell.passed) == ("two_sided", False) and cell.z > 3.0
+    cell = graded("parity_guess", {"n_blocks": 2, "block_len": 1}, 4000, 0.75)
+    assert (cell.mode, cell.passed) == ("two_sided", False) and cell.z < -3.0
+    # the staged mirror passes with probability 1/2 at (2, 1): an exact
+    # reference of 1 is missed, an exact 0 is missed, and the unstaged
+    # mirror's exact 1 is met
+    sendback = {"n_blocks": 2, "block_len": 1}
+    cell = graded("ct_sendback", sendback, 400, 1)
+    assert (cell.mode, cell.passed, cell.z) == ("exact", False, math.inf)
+    cell = graded("ct_sendback", sendback, 400, 0)
+    assert (cell.mode, cell.passed, cell.z) == ("exact", False, math.inf)
+    (cell,) = run_experiment(spec(scenario="ct_sendback",
+                                  grid={**sendback, "half_disclosure": False}, trials=400))
+    assert (cell.mode, cell.passed, cell.z, cell.estimate) == ("exact", True, 0.0, 1.0)
 
 
 def test_identification_cell_matches_reference():
@@ -114,6 +109,32 @@ def test_reproducible_and_worker_independent():
     again = run_experiment(s)
     parallel = run_experiment(s, jobs=2)
     assert once == again == parallel
+
+
+def test_pool_never_exceeds_the_cell_count(monkeypatch):
+    # a process pool forks all its workers up front; record the request and
+    # run the cells in this process instead
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Recorder)
+    (cell,) = run_experiment(spec(trials=100), jobs=4096)
+    assert requested == [1] and cell.trials == 100
+    run_experiment(spec(scenario="cheat_detection",
+                        grid={"block_len": [1, 2], "n_blocks": 2}, trials=100), jobs=4096)
+    assert requested == [1, 2]
 
 
 def test_common_random_numbers_share_prefix_draws():

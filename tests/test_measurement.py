@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from relqprot.measurement import (
-    GammaOperator,
     PriorPair,
     composite_error,
     helstrom_error,
@@ -156,14 +155,15 @@ def random_density(rng):
 def brute_force_min_error(p0, p1, rho0, rho1):
     """Search all binary projective measurements on the internal plane."""
 
-    def err(theta):
-        v = np.array([math.cos(theta), math.sin(theta)])
-        guess1 = np.outer(v, v)
-        guess0 = np.eye(2) - guess1
-        return p0 * np.trace(rho0 @ guess1) + p1 * np.trace(rho1 @ guess0)
+    def quad(rho, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        return rho[0, 0] * c * c + (rho[0, 1] + rho[1, 0]) * c * s + rho[1, 1] * s * s
+
+    def err(theta):  # guess 1 on the projector onto (cos theta, sin theta)
+        return p0 * quad(rho0, theta) + p1 * (np.trace(rho1) - quad(rho1, theta))
 
     thetas = np.linspace(0.0, math.pi, 4001)
-    values = np.array([err(t) for t in thetas])
+    values = err(thetas)
     i = int(np.argmin(values))
     lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, 4000)]
     refined = minimize_scalar(err, bounds=(lo, hi), method="bounded",
@@ -173,23 +173,35 @@ def brute_force_min_error(p0, p1, rho0, rho1):
 
 def test_helstrom_orthogonal_states_are_free():
     prior = PriorPair.even()
-    gamma = GammaOperator.from_ensemble(prior, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    res = helstrom_error(prior, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert res.error == 0.0
     for mass in (0.1, 0.5, 1.0):
-        res = helstrom_error(prior, gamma, accessible_mass=mass)
-        assert res.error == 0.0
+        # restricted access errs only in the silent branch, by a blind guess
+        assert composite_error(mass, res.error, 0.5) == pytest.approx(0.5 * (1.0 - mass))
 
 
 def test_helstrom_identical_states_force_guessing():
     prior = PriorPair.even()
     rho = np.array([[0.7, 0.1], [0.1, 0.3]])
-    res = helstrom_error(prior, GammaOperator.from_ensemble(prior, rho, rho), 0.8)
-    assert res.error == pytest.approx(0.4, abs=1e-12)
+    res = helstrom_error(prior, rho, rho)
+    assert res.error == pytest.approx(0.5, abs=1e-12)
+    # no mass of the window can beat the blind guess
+    assert composite_error(0.8, res.error, 0.5) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_helstrom_takes_the_prior_once():
+    # rho1 is the maximally mixed state, so no measurement beats guessing the
+    # likelier hypothesis 1, which errs with p0
+    prior = PriorPair(0.2, 0.8)
+    rho0, rho1 = np.diag([1.0, 0.0]), np.diag([0.5, 0.5])
+    res = helstrom_error(prior, rho0, rho1)
+    assert res.error == pytest.approx(0.2, abs=1e-12)
+    assert res.error == pytest.approx(brute_force_min_error(0.2, 0.8, rho0, rho1), abs=1e-10)
 
 
 def test_helstrom_canonical_diagonal_case():
     prior = PriorPair.even()
-    gamma = GammaOperator(np.diag([prior.p1, -prior.p0]))
-    res = helstrom_error(prior, gamma, accessible_mass=0.5)
+    res = helstrom_error(prior, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
     assert res.error == pytest.approx(0.0, abs=1e-15)
     # the optimal measurement projects the "guess 0" outcome onto |e1>
     assert np.allclose(res.projector_0, np.diag([0.0, 1.0]), atol=1e-12)
@@ -204,10 +216,13 @@ def test_helstrom_matches_brute_force_projector_search():
         prior = PriorPair(p0, 1 - p0)
         rho0, rho1 = random_density(rng), random_density(rng)
         mass = rng.uniform(0.2, 1.0)
-        res = helstrom_error(prior, GammaOperator.from_ensemble(prior, rho0, rho1), mass)
-        brute = mass * brute_force_min_error(prior.p0, prior.p1, rho0, rho1)
-        worst = max(worst, abs(res.error - brute))
-        assert res.error <= min(prior.p0, prior.p1) + 1e-12
+        silent = min(prior.p0, prior.p1)
+        res = helstrom_error(prior, rho0, rho1)
+        total = composite_error(mass, res.error, silent)
+        brute = brute_force_min_error(prior.p0, prior.p1, rho0, rho1)
+        brute = composite_error(mass, brute, silent)
+        worst = max(worst, abs(total - brute))
+        assert res.error <= silent + 1e-12
     assert worst < 1e-10
 
 
@@ -217,19 +232,17 @@ def test_helstrom_error_vanishes_only_for_orthogonal_ensembles():
     prior = PriorPair.even()
     for _ in range(50):
         rho0, rho1 = random_density(rng), random_density(rng)
-        res = helstrom_error(prior, GammaOperator.from_ensemble(prior, rho0, rho1))
+        res = helstrom_error(prior, rho0, rho1)
         overlap = float(np.trace(rho0 @ rho1))
         if overlap > 1e-6:
             assert res.error > 0.0
-    ortho = helstrom_error(
-        prior, GammaOperator.from_ensemble(prior, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    )
+    ortho = helstrom_error(prior, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert ortho.error == 0.0
 
 
 def test_helstrom_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        helstrom_error(PriorPair.even(), np.array([[0.0, 1.0], [0.0, 0.0]]))
+        helstrom_error(PriorPair.even(), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
 def test_helstrom_larger_internal_space():
@@ -239,9 +252,8 @@ def test_helstrom_larger_internal_space():
     rho0 = a @ a.T / np.trace(a @ a.T)
     b = rng.normal(size=(3, 3))
     rho1 = b @ b.T / np.trace(b @ b.T)
-    gamma = prior.p1 * rho1 - prior.p0 * rho0
-    res = helstrom_error(prior, gamma)
-    vals = np.linalg.eigvalsh(gamma)
+    res = helstrom_error(prior, rho0, rho1)
+    vals = np.linalg.eigvalsh(prior.p1 * rho1 - prior.p0 * rho0)
     assert res.error == pytest.approx(prior.p0 + vals[vals < 0].sum(), abs=1e-12)
 
 
@@ -261,11 +273,10 @@ def test_prior_pair_validation():
     assert PriorPair.even().p0 == 0.5
 
 
-def test_gamma_operator_validation():
+def test_helstrom_rejects_malformed_states():
     with pytest.raises(ValueError):
-        GammaOperator(np.zeros((2, 3)))
+        helstrom_error(PriorPair.even(), np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        GammaOperator(np.zeros((2, 2)), spatial_mass=1.4)
-    g = GammaOperator.from_ensemble(PriorPair.even(), np.eye(2) / 2, np.eye(2) / 2, 0.25)
-    assert g.spatial_mass == 0.25
-    assert np.allclose(g.matrix, 0.0)
+        helstrom_error(PriorPair.even(), np.eye(2) / 2, np.eye(3) / 3)
+    with pytest.raises(ValueError):
+        composite_error(1.4, 0.0, 0.5)  # the accessible mass is a probability

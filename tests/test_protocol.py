@@ -474,3 +474,10 @@ def test_mirror_arrival_time_follows_the_round_trip():
                 assert 2 * d - cfg.width < e.t < 2 * d + cfg.width
                 assert e.payload["outcome"] == "perp"
     assert reflected
+
+
+def test_mirror_requires_the_coin_toss():
+    # bit commitment has no B->A direction for a mirror to fake
+    with pytest.raises(ValueError, match="coin toss"):
+        simulate(config(4, 2), 1000, 0, mirror=True)
+    assert simulate(config(4, 2), 10, 0, coin_toss=True, mirror=True).ba is not None
