@@ -25,7 +25,8 @@ from itertools import product
 import numpy as np
 
 from .measurement import composite_error
-from .parity import exact_parity_guesser, pc_parity_optimal
+from .parity import _evidence_weights, pc_parity_optimal
+from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .protocol import (
     ProtocolConfig,
     _delay_pass_probability,
@@ -191,7 +192,7 @@ def _cell_rng(master_seed: int, scenario: str, cell_index: int):
 def _kernel_identification(params, trials, master_seed, cell_index):
     config = ProtocolConfig(
         1, 1, width=params.get("width", 1.0), separation=params.get("separation", 8.0),
-        disclosure_time=params.get("tau_d"),
+        disclosure_time=_real("tau_d", params["tau_d"]) if "tau_d" in params else None,
     )
     state = config.make_state(0)
     rng = _cell_rng(master_seed, "identification", cell_index)
@@ -206,30 +207,26 @@ def _kernel_identification(params, trials, master_seed, cell_index):
     return successes, reference, resolved
 
 
+def _optimal_guesses(n, k, ones, zeros):
+    """Per-trial optimal parity guess from fired ones and zeros, one law
+    evaluation per distinct pair; odd only if strictly heavier (ties to 0)."""
+    keys, inverse = np.unique(ones * (n * k + 1) + zeros, return_inverse=True)
+    weights = (_evidence_weights(n, k, *divmod(int(key), n * k + 1)) for key in keys)
+    return np.array([odd > even for even, odd in weights])[inverse]
+
+
 def _kernel_parity_guess(params, trials, master_seed, cell_index):
     n = _integer("n_blocks", params.get("n_blocks", 1))
     k = _integer("block_len", params.get("block_len", 1))
     # Common random numbers: per-block value/fire draws are seeded by column
     # only, so cells differing in n_blocks share their leading columns.
-    values = np.empty((trials, n), dtype=np.int64)
-    fired = np.empty((trials, n), dtype=np.int64)
-    for col in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence((master_seed, _SCENARIO_CODE["parity_guess"], k, col))
-        )
-        values[:, col] = rng.integers(0, 2, trials)
-        fired[:, col] = rng.binomial(k, 0.5, trials)
-    secrets = values.sum(axis=1) % 2
-    fired_ones = (values * fired).sum(axis=1)
-    unfired = n * k - fired.sum(axis=1)
-    keys = unfired * (n * k + 1) + fired_ones
-    guesses = np.empty(trials, dtype=np.int64)
-    for key in np.unique(keys):
-        u, f1 = divmod(int(key), n * k + 1)
-        evidence = {i: 1 for i in range(f1)}
-        evidence.update({f1 + i: 0 for i in range(n * k - u - f1)})
-        guesses[keys == key] = exact_parity_guesser(evidence, n, k).guess
-    successes = int(np.count_nonzero(guesses == secrets))
+    seeds = ((master_seed, _SCENARIO_CODE["parity_guess"], k, col) for col in range(n))
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    values = np.array([rng.integers(0, 2, trials) for rng in rngs])
+    fired = np.array([rng.binomial(k, 0.5, trials) for rng in rngs])
+    ones = (values * fired).sum(axis=0)
+    guesses = _optimal_guesses(n, k, ones, fired.sum(axis=0) - ones)
+    successes = int(np.count_nonzero(guesses == values.sum(axis=0) % 2))
     return successes, pc_parity_optimal(n, k), {"n_blocks": n, "block_len": k}
 
 

@@ -183,6 +183,18 @@ def p_acc_fixed(n_blocks: int, block_len: int) -> float:
     return p_fixed_block(block_len) ** n_blocks
 
 
+def _evidence_weights(n_blocks: int, block_len: int, ones: int, zeros: int) -> list[int]:
+    """Integer weights [even, odd] of a (fired ones, fired zeros) pair: C(N, l)
+    C(l k, ones) C((N - l) k, zeros) summed over the one-block counts l with room
+    for both counts.  The fire probability scales both alike; the heavier wins."""
+    k, weights = block_len, [0, 0]
+    for level in range(-(-ones // k), n_blocks + 1 + (-zeros // k)):
+        weights[level % 2] += (
+            comb(n_blocks, level) * comb(level * k, ones) * comb((n_blocks - level) * k, zeros)
+        )
+    return weights
+
+
 @lru_cache(maxsize=None)
 def parity_posterior(
     n_blocks: int, block_len: int, n_unfired: int, fired_ones: int
@@ -190,35 +202,25 @@ def parity_posterior(
     """Exact posterior weights (even, odd) for the parity given count evidence.
 
     The detector evidence reduces to two counts: how many channels are still
-    silent and how many fired channels showed a one.  Summing over the number
-    of ones hidden in the silent channels collapses the full enumeration of
-    consistent completions; a completion with l one-blocks carries the
-    sender-sampler weight C(N, l) / C(N*k, l*k) per string and there are
-    C(unfired, j) completions adding j ones.
+    silent and how many fired channels showed a one.  The weights are the
+    integer law of ``_evidence_weights`` over C(N*k, fired) C(fired, ones),
+    which by the hypergeometric identity sums the sender-sampler weight
+    C(N, l) / C(N*k, l*k) of every completion of the silent channels.
     """
     _validate_nk(n_blocks, block_len)
     n_channels = n_blocks * block_len
     if not 0 <= n_unfired <= n_channels:
         raise ValueError("unfired count out of range")
-    if not 0 <= fired_ones <= n_channels - n_unfired:
+    n_fired = n_channels - n_unfired
+    if not 0 <= fired_ones <= n_fired:
         raise ValueError("fired ones count out of range")
-    weights = [Fraction(0), Fraction(0)]
-    for j in range(n_unfired + 1):
-        ones = fired_ones + j
-        if ones % block_len:
-            continue
-        level = ones // block_len
-        if level > n_blocks:
-            continue
-        weights[level % 2] += Fraction(
-            comb(n_unfired, j) * comb(n_blocks, level),
-            comb(n_channels, level * block_len),
-        )
-    if weights[0] + weights[1] == 0:
+    even, odd = _evidence_weights(n_blocks, block_len, fired_ones, n_fired - fired_ones)
+    if even == odd == 0:
         raise InconsistentEvidenceError(
             "no valid block string is consistent with the fired outcomes"
         )
-    return weights[0], weights[1]
+    scale = comb(n_channels, n_fired) * comb(n_fired, fired_ones)
+    return Fraction(even, scale), Fraction(odd, scale)
 
 
 class ParityGuess(NamedTuple):

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from relqprot import experiment
 from relqprot.cli import main
+from relqprot.protocol import ProtocolConfig
 
 
 def run_cli(argv, capsys):
@@ -327,6 +331,15 @@ def test_sweep_rejects_null_tail_exponent(tmp_path, capsys):
     assert "tail_exponent must be a finite number" in err
 
 
+def test_sweep_rejects_null_tau_d(tmp_path, capsys):
+    err = _sweep_usage_error(tmp_path, capsys, {
+        "scenario": "identification",
+        "grid": {"tau_d": [None, 4.0]},
+        "trials": 2000,
+    })
+    assert "tau_d must be a finite number" in err
+
+
 def test_run_reports_unwritable_out_path(tmp_path, capsys):
     out = tmp_path / "missing" / "t.jsonl"
     code, stdout, err = run_cli(["run", "bc", "-N", "2", "-k", "2", "--out", str(out)], capsys)
@@ -357,3 +370,81 @@ def test_sweep_mirror_beyond_sixteen_guessed_channels(tmp_path, capsys):
     )
     assert code == 0
     assert "reference=7.62939453125e-06" in out and "pass" in out
+
+
+# ---------------------------------------------------------------------- fuzz
+# Arbitrary JSON through the config files, in process: every input must end in
+# a documented exit code, never an exception.  Half the inputs are a valid
+# config with up to two fields overwritten by arbitrary JSON, so that the
+# engine runs too; integers stay small, so a sweep cell runs at most 30 trials
+# and N*k stays at most 144.
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(0, 12) | st.floats()
+    | st.text(max_size=4)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _overwritten(valid, names):
+    junk = st.dictionaries(st.sampled_from(names + ["bogus"]), _JSON, max_size=2)
+    return st.builds(lambda base, extra: {**base, **extra}, valid, junk)
+
+
+_GRID_VALUES = {
+    "n_blocks": st.integers(1, 6),
+    "block_len": st.integers(1, 4),
+    "delayed_blocks": st.integers(1, 3),
+    "half_disclosure": st.booleans(),
+    "tau_d": st.floats(1, 9),
+    "width": st.floats(0.5, 2),
+    "separation": st.floats(2, 10),
+    "tail_exponent": st.floats(0.5, 8),
+}
+_SPEC = st.sampled_from(experiment.SCENARIOS).flatmap(lambda scenario: _overwritten(
+    st.fixed_dictionaries({
+        "scenario": st.just(scenario),
+        "grid": st.fixed_dictionaries({}, optional={
+            name: st.lists(_GRID_VALUES[name], min_size=1, max_size=2)
+            for name in sorted(experiment._ALLOWED_PARAMS[scenario])
+        }),
+        "trials": st.integers(1, 30),
+    }),
+    ["scenario", "grid", "trials", "master_seed"],
+))
+_CONFIG = _overwritten(
+    st.fixed_dictionaries({"n_blocks": st.integers(1, 8), "block_len": st.integers(1, 4)}),
+    [f.name for f in dataclasses.fields(ProtocolConfig)],
+)
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _fuzz_cli(tmp_path, capsys, payload, argv):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    code = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    return code
+
+
+@_FUZZ
+@given(payload=_SPEC | _JSON)
+def test_sweep_survives_arbitrary_specs(tmp_path, capsys, payload):
+    assert _fuzz_cli(tmp_path, capsys, payload, ["sweep"]) in (0, 2, 5)
+
+
+@_FUZZ
+@given(
+    payload=_CONFIG | _JSON,
+    protocol=st.sampled_from(["bc", "ct"]),
+    strategy=st.sampled_from(["honest", "earlyguess"]),
+)
+def test_run_survives_arbitrary_configs(tmp_path, capsys, payload, protocol, strategy):
+    argv = ["run", protocol, "--strategy-b", strategy]
+    assert _fuzz_cli(tmp_path, capsys, payload, argv) in (0, 2, 4)

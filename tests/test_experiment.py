@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from relqprot import experiment
@@ -11,6 +12,7 @@ from relqprot.experiment import (
     run_experiment,
     wilson_interval,
 )
+from relqprot.parity import InconsistentEvidenceError, exact_parity_guesser
 
 
 def spec(scenario="identification", grid=None, trials=2000, master_seed=7):
@@ -238,6 +240,24 @@ def test_engine_chunks_cover_every_trial(monkeypatch):
     (cell,) = run_experiment(spec(scenario="ct_sendback",
                                   grid={"n_blocks": 2, "block_len": 2}, trials=2000))
     assert cell.passed and 0 < cell.successes < 2000
+
+
+def test_kernel_guess_is_the_exact_guesser_at_every_pair():
+    ties = 0
+    for n in range(1, 7):
+        for k in range(1, 5):
+            nk = n * k
+            pairs = [(a, b) for a in range(nk + 1) for b in range(nk + 1 - a)]
+            ones, zeros = np.array(pairs).T
+            guesses = experiment._optimal_guesses(n, k, ones, zeros)
+            for (a, b), guess in zip(pairs, guesses.tolist()):
+                try:
+                    expected = exact_parity_guesser({c: int(c < a) for c in range(a + b)}, n, k)
+                except InconsistentEvidenceError:
+                    continue
+                assert guess == expected.guess, (n, k, a, b)
+                ties += expected.confidence == 0.5
+    assert ties > 0  # a tie goes to 0 in both
 
 
 def test_parity_guess_cells_graded_against_exact_optimum():

@@ -201,6 +201,30 @@ def test_posterior_matches_brute_enumeration(data):
     assert got == tuple(expected)
 
 
+def completion_sum(n, k, unfired, ones):
+    """The posterior as a sum over the completions of the silent channels:
+    j more ones give l = (ones + j) / k one-blocks, each string weighted
+    C(N, l) / C(N*k, l*k), with C(unfired, j) such strings."""
+    weights = [Fraction(0), Fraction(0)]
+    for j in range(unfired + 1):
+        level, rest = divmod(ones + j, k)
+        if not rest and level <= n:
+            weights[level % 2] += Fraction(comb(unfired, j) * comb(n, level), comb(n * k, level * k))
+    return tuple(weights)
+
+
+def test_posterior_matches_the_completion_sum():
+    for n, k in [*product(range(1, 9), range(1, 5)), (16, 4)]:
+        for unfired in range(n * k + 1):
+            for ones in range(n * k - unfired + 1):
+                expected = completion_sum(n, k, unfired, ones)
+                if sum(expected) == 0:
+                    with pytest.raises(InconsistentEvidenceError):
+                        parity_posterior(n, k, unfired, ones)
+                else:
+                    assert parity_posterior(n, k, unfired, ones) == expected, (n, k, unfired, ones)
+
+
 def test_guesser_examples():
     assert exact_parity_guesser({}, 3, 2) == (0, 0.5)
     guess, conf = exact_parity_guesser({0: 1, 1: 1, 2: 0, 3: 0}, 2, 2)

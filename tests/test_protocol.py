@@ -33,6 +33,16 @@ def config(n=2, k=2, **kwargs):
     return ProtocolConfig(n, k, **kwargs)
 
 
+def aborts(batch):
+    """The abort reasons that occur among a batch's trials."""
+    return {list(AbortReason)[c - 1] for c in set(batch.code[~batch.accepted].tolist())}
+
+
+def within_3_sigma(hits, ref):
+    sigma = math.sqrt(ref * (1 - ref) / hits.size)
+    return abs(np.mean(hits) - ref) <= 3 * sigma
+
+
 # -------------------------------------------------------------- configuration
 
 
@@ -86,12 +96,9 @@ def test_accessible_horizon():
 
 
 def test_honest_commitment_always_accepted():
-    cfg = config(3, 2)
-    for seed in range(300):
-        res = run_bit_commitment(cfg, seed=seed)
-        assert res.verdict.accepted
-        assert res.verdict.bit == res.committed_bit
-        assert res.verdict.code() == f"ACCEPTED:{res.committed_bit}"
+    batch = simulate(config(3, 2), 300, np.random.default_rng(0))
+    assert batch.accepted.all()
+    assert np.array_equal(batch.parity_a, batch.committed)
 
 
 def test_transcript_shape_and_determinism():
@@ -115,31 +122,14 @@ def test_transcript_shape_and_determinism():
 
 
 def test_delayed_block_detection_rate():
-    cfg = config(2, 2)
-    trials = 3000
-    accepted = 0
-    reasons = set()
-    for seed in range(trials):
-        res = run_bit_commitment(cfg, strategy_a=DelayBlocks([1]), seed=seed)
-        accepted += res.verdict.accepted
-        if not res.verdict.accepted:
-            reasons.add(res.verdict.reason)
-    ref = 0.25
-    sigma = math.sqrt(ref * (1 - ref) / trials)
-    assert abs(accepted / trials - ref) <= 3 * sigma
-    assert reasons == {AbortReason.PERP_OUTCOME}
+    batch = simulate(config(2, 2), 3000, np.random.default_rng(0), delayed_blocks={1})
+    assert within_3_sigma(batch.accepted, 0.25)
+    assert aborts(batch) == {AbortReason.PERP_OUTCOME}
 
 
 def test_two_delayed_blocks_compound():
-    cfg = config(3, 1)
-    trials = 4000
-    accepted = sum(
-        run_bit_commitment(cfg, strategy_a=DelayBlocks([0, 2]), seed=s).verdict.accepted
-        for s in range(trials)
-    )
-    ref = 0.25
-    sigma = math.sqrt(ref * (1 - ref) / trials)
-    assert abs(accepted / trials - ref) <= 3 * sigma
+    batch = simulate(config(3, 1), 4000, np.random.default_rng(0), delayed_blocks={0, 2})
+    assert within_3_sigma(batch.accepted, 0.25)
 
 
 def test_early_guess_single_state_identification():
@@ -223,15 +213,17 @@ def test_reassignment_cannot_change_parity(n, k):
 
 def test_honest_coin_toss_accepts_and_is_fair():
     cfg = config(2, 2)
-    lots = []
-    for seed in range(3000):
+    batch = simulate(cfg, 3000, np.random.default_rng(0), coin_toss=True)
+    assert batch.accepted.all()
+    assert np.array_equal(batch.parity_a, batch.committed)
+    assert within_3_sigma(batch.lot, 0.5)
+    winners = set()
+    for seed in range(10):  # a run names the winner of its lot
         res = run_coin_toss(cfg, seed=seed)
-        assert res.verdict.accepted
         assert res.lot == res.parity_a ^ res.parity_b
         assert res.winner == ("A" if res.lot == 0 else "B")
-        lots.append(res.lot)
-    mean = sum(lots) / len(lots)
-    assert abs(mean - 0.5) <= 3 * math.sqrt(0.25 / len(lots))
+        winners.add(res.winner)
+    assert winners == {"A", "B"}
 
 
 def test_ct_half_disclosure_phases_are_ordered():
@@ -249,27 +241,19 @@ def test_ct_half_disclosure_phases_are_ordered():
 
 
 def test_send_back_full_disclosure_forces_zero_lot():
-    cfg = config(2, 2)
-    for seed in range(500):
-        res = run_coin_toss(cfg, strategy_b=SendBack(), enforce_half_disclosure=False, seed=seed)
-        assert res.verdict.accepted
-        assert res.lot == 0
-        assert res.parity_b == res.parity_a
+    batch = simulate(
+        config(2, 2), 500, np.random.default_rng(0), coin_toss=True, mirror=True, staged=False
+    )
+    assert batch.accepted.all()
+    assert not batch.lot.any()
+    assert np.array_equal(batch.parity_b, batch.parity_a)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (4, 1)])
 def test_send_back_half_disclosure_acceptance_rate(n, k):
-    cfg = ProtocolConfig(n, k)
-    trials = 4000
-    accepted = 0
-    for seed in range(trials):
-        res = run_coin_toss(cfg, strategy_b=SendBack(), seed=seed)
-        accepted += res.verdict.accepted
-        if res.verdict.accepted:
-            assert res.lot == 0  # a passing mirror still forces the zero lot
-    ref = float(mirror_guess_acceptance(n, k))
-    sigma = math.sqrt(ref * (1 - ref) / trials)
-    assert abs(accepted / trials - ref) <= 3 * sigma
+    batch = simulate(ProtocolConfig(n, k), 4000, np.random.default_rng(0), coin_toss=True, mirror=True)
+    assert not batch.lot[batch.accepted].any()  # a passing mirror still forces the zero lot
+    assert within_3_sigma(batch.accepted, float(mirror_guess_acceptance(n, k)))
 
 
 def test_mirror_guess_oracle_values():
@@ -310,22 +294,12 @@ def test_ct_early_guess_reported():
 
 def test_tailed_honest_completion_rate():
     xi = 3.0
-    cfg = config(2, 2, tail_exponent=xi)
-    trials = 4000
-    accepted = 0
-    reasons = set()
-    for seed in range(trials):
-        res = run_bit_commitment(cfg, seed=seed)
-        if res.verdict.accepted:
-            accepted += 1
-            assert res.verdict.bit == res.committed_bit
-        else:
-            reasons.add(res.verdict.reason)
-    ref = (1.0 - math.exp(-xi)) ** 4
-    sigma = math.sqrt(ref * (1 - ref) / trials)
-    assert abs(accepted / trials - ref) <= 3 * sigma
-    assert reasons <= {AbortReason.PERP_OUTCOME, AbortReason.SILENT_AT_FULL_ACCESS}
-    assert len(reasons) == 2  # both tail failure modes occur at this rate
+    batch = simulate(config(2, 2, tail_exponent=xi), 4000, np.random.default_rng(0))
+    accepted = batch.accepted
+    assert np.array_equal(batch.parity_a[accepted], batch.committed[accepted])
+    assert within_3_sigma(accepted, (1.0 - math.exp(-xi)) ** 4)
+    # both tail failure modes occur at this rate
+    assert aborts(batch) == {AbortReason.PERP_OUTCOME, AbortReason.SILENT_AT_FULL_ACCESS}
 
 
 # --------------------------------------------------------------------- audit
