@@ -18,9 +18,9 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,51 +48,21 @@ __all__ = [
     "cells_to_json",
 ]
 
-SCENARIOS = (
-    "identification",
-    "parity_guess",
-    "cheat_detection",
-    "bc_honest",
-    "ct_honest",
-    "ct_sendback",
-    "tailed_completion",
-)
-
-_SCENARIO_CODE = {name: i + 1 for i, name in enumerate(SCENARIOS)}
-
 # Bound on trials x channels per engine call, which caps a cell's memory.
 _CHUNK_ELEMENTS = 1 << 18
 
-_ALLOWED_PARAMS = {
-    "identification": {"tau_d", "width", "separation"},
-    "parity_guess": {"n_blocks", "block_len"},
-    "cheat_detection": {"n_blocks", "block_len", "delayed_blocks"},
-    "bc_honest": {"n_blocks", "block_len", "width", "separation"},
-    "ct_honest": {"n_blocks", "block_len"},
-    "ct_sendback": {"n_blocks", "block_len", "half_disclosure"},
-    "tailed_completion": {"n_blocks", "block_len", "tail_exponent"},
-}
+# Grid parameters that are not ProtocolConfig fields, with their defaults.
+_OPTION_DEFAULTS = {"delayed_blocks": 1, "half_disclosure": True}
+# Grid names that differ from the ProtocolConfig field they set.
+_CONFIG_FIELD = {"tau_d": "disclosure_time"}
 
 CSV_SCHEMA_HEADER = "# relqprot sweep schema 1"
+# The statistics of a cell that both serializers write, besides its scenario,
+# parameters and pass flag.
+_STATS = ("trials", "successes", "estimate", "ci_lo", "ci_hi", "reference", "z", "mode")
 _CSV_COLUMNS = (
-    "scenario",
-    "n_blocks",
-    "block_len",
-    "tail_exponent",
-    "delayed_blocks",
-    "half_disclosure",
-    "tau_d",
-    "width",
-    "separation",
-    "trials",
-    "successes",
-    "estimate",
-    "ci_lo",
-    "ci_hi",
-    "reference",
-    "z",
-    "mode",
-    "pass",
+    "scenario", "n_blocks", "block_len", "tail_exponent", "delayed_blocks", "half_disclosure",
+    "tau_d", "width", "separation", *_STATS, "pass",
 )
 
 
@@ -104,6 +74,7 @@ class ExperimentSpec:
     grid: tuple[tuple[str, tuple], ...]
     trials: int
     master_seed: int = 0
+    _resolved: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -113,16 +84,19 @@ class ExperimentSpec:
             raise ValueError("trials must be at least 1")
         if not self.grid:
             raise ValueError("parameter grid must not be empty")
-        allowed = _ALLOWED_PARAMS[self.scenario]
+        allowed = _SCENARIOS[self.scenario].params
         for name, values in self.grid:
             if name not in allowed:
                 raise ValueError(f"parameter {name!r} not used by {self.scenario}")
             if not values:
                 raise ValueError(f"parameter {name!r} has no values")
+        # every cell is checked here, so a bad value fails before any trial runs
+        resolved = tuple(_resolve(self.scenario, cell) for cell in self.cells())
+        object.__setattr__(self, "_resolved", resolved)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown = set(data) - {f.name for f in fields(cls) if f.init}
         if unknown:
             raise ValueError(f"unknown spec fields: {sorted(unknown)}")
         raw_grid = data.get("grid", {})
@@ -183,28 +157,15 @@ def _z_score(successes: int, trials: int, reference: float) -> float:
     return (estimate - reference) / sigma
 
 
-def _cell_rng(master_seed: int, scenario: str, cell_index: int):
-    return np.random.default_rng(
-        np.random.SeedSequence((master_seed, _SCENARIO_CODE[scenario], cell_index))
-    )
-
-
-def _kernel_identification(params, trials, master_seed, cell_index):
-    config = ProtocolConfig(
-        1, 1, width=params.get("width", 1.0), separation=params.get("separation", 8.0),
-        disclosure_time=_real("tau_d", params["tau_d"]) if "tau_d" in params else None,
-    )
+def _kernel_identification(config, options, trials, seed):
     state = config.make_state(0)
-    rng = _cell_rng(master_seed, "identification", cell_index)
+    rng = np.random.default_rng(seed)
     taus = state.sample_fire_time(rng, trials)
     bits = rng.integers(0, 2, trials)
     fired = taus <= config.tau_d
     successes = int(np.count_nonzero(fired | (bits == 0)))
     mass = state.window_mass(Window(-math.inf, config.tau_d))
-    reference = 1.0 - composite_error(mass, 0.0, 0.5)
-    resolved = {"tau_d": config.tau_d, "width": float(config.width),
-                "separation": float(config.separation)}
-    return successes, reference, resolved
+    return successes, 1.0 - composite_error(mass, 0.0, 0.5)
 
 
 def _optimal_guesses(n, k, ones, zeros):
@@ -215,39 +176,30 @@ def _optimal_guesses(n, k, ones, zeros):
     return np.array([odd > even for even, odd in weights])[inverse]
 
 
-def _kernel_parity_guess(params, trials, master_seed, cell_index):
-    n = _integer("n_blocks", params.get("n_blocks", 1))
-    k = _integer("block_len", params.get("block_len", 1))
+def _kernel_parity_guess(config, options, trials, seed):
+    n, k = config.n_blocks, config.block_len
     # Common random numbers: per-block value/fire draws are seeded by column
     # only, so cells differing in n_blocks share their leading columns.
-    seeds = ((master_seed, _SCENARIO_CODE["parity_guess"], k, col) for col in range(n))
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
+    rngs = [np.random.default_rng((*seed[:2], k, col)) for col in range(n)]
     values = np.array([rng.integers(0, 2, trials) for rng in rngs])
     fired = np.array([rng.binomial(k, 0.5, trials) for rng in rngs])
     ones = (values * fired).sum(axis=0)
     guesses = _optimal_guesses(n, k, ones, fired.sum(axis=0) - ones)
     successes = int(np.count_nonzero(guesses == values.sum(axis=0) % 2))
-    return successes, pc_parity_optimal(n, k), {"n_blocks": n, "block_len": k}
+    return successes, pc_parity_optimal(n, k)
 
 
-def _kernel_cheat_detection(params, trials, master_seed, cell_index):
-    config = ProtocolConfig(params.get("n_blocks", 2), params.get("block_len", 1))
-    n, k = config.n_blocks, config.block_len
-    m = _integer("delayed_blocks", params.get("delayed_blocks", 1))
-    if not 1 <= m <= n:
-        raise ValueError("delayed_blocks must lie in [1, n_blocks]")
+def _kernel_cheat_detection(config, options, trials, seed):
+    m, k = options["delayed_blocks"], config.block_len
     p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
-    rng = _cell_rng(master_seed, "cheat_detection", cell_index)
-    coins = rng.random((trials, m * k))
-    successes = int(np.count_nonzero(np.all(coins < p_pass, axis=1)))
-    reference = 0.5 ** (m * k)
-    resolved = {"n_blocks": n, "block_len": k, "delayed_blocks": m}
-    return successes, reference, resolved
+    coins = np.random.default_rng(seed).random((trials, m * k))
+    return int(np.count_nonzero(np.all(coins < p_pass, axis=1))), 0.5 ** (m * k)
 
 
-def _engine_successes(config, trials, rng, success, **options) -> int:
+def _engine_successes(config, trials, seed, success, **options) -> int:
     """Trials for which ``success(batch)`` holds, run through the protocol
     engine in chunks of at most ``_CHUNK_ELEMENTS`` trial-channels."""
+    rng = np.random.default_rng(seed)
     chunk = max(1, _CHUNK_ELEMENTS // config.n_channels)
     total = 0
     for start in range(0, trials, chunk):
@@ -256,70 +208,107 @@ def _engine_successes(config, trials, rng, success, **options) -> int:
     return total
 
 
-def _kernel_bc(params, trials, master_seed, cell_index, scenario="bc_honest"):
+def _kernel_bc(config, options, trials, seed):
     """Honest commitment accepted with the committed bit: exactly for compact
     profiles, per channel with probability 1 - e^-xi for Gaussian tails."""
-    xi = None
-    if scenario == "tailed_completion":
-        xi = _real("tail_exponent", params.get("tail_exponent", 4.0))
-    config = ProtocolConfig(
-        params.get("n_blocks", 2), params.get("block_len", 2),
-        width=params.get("width", 1.0), separation=params.get("separation", 8.0),
-        tail_exponent=xi,
-    )
-    n, k = config.n_blocks, config.block_len
     successes = _engine_successes(
-        config, trials, _cell_rng(master_seed, scenario, cell_index),
-        lambda b: b.accepted & (b.parity_a == b.committed),
+        config, trials, seed, lambda b: b.accepted & (b.parity_a == b.committed)
     )
-    if xi is None:
-        return successes, 1.0, {"n_blocks": n, "block_len": k}
-    resolved = {"n_blocks": n, "block_len": k, "tail_exponent": xi}
-    return successes, (1.0 - math.exp(-xi)) ** (n * k), resolved
+    if config.is_compact:
+        return successes, 1.0
+    return successes, (1.0 - math.exp(-config.tail_exponent)) ** config.n_channels
 
 
-def _kernel_ct(params, trials, master_seed, cell_index, scenario="ct_honest"):
-    """Honest coin toss, or a mirroring peer (ct_sendback) that passes staged
-    disclosure only by guessing, and forces the zero lot without it."""
-    mirror = scenario == "ct_sendback"
-    config = ProtocolConfig(params.get("n_blocks", 2), params.get("block_len", 1 if mirror else 2))
-    n, k = config.n_blocks, config.block_len
-    half = params.get("half_disclosure", True)
-    if not isinstance(half, (bool, np.bool_)):
-        raise ValueError(f"half_disclosure must be true or false, got {half!r}")
-    half = bool(half)
+def _kernel_ct(config, options, trials, seed):
+    """Honest coin toss, or, given a ``half_disclosure`` option (ct_sendback),
+    a mirroring peer that passes staged disclosure only by guessing and forces
+    the zero lot without it."""
+    mirror = "half_disclosure" in options
+    half = options.get("half_disclosure", True)
     successes = _engine_successes(
-        config, trials, _cell_rng(master_seed, scenario, cell_index),
+        config, trials, seed,
         (lambda b: b.accepted) if half else (lambda b: b.accepted & (b.lot == 0)),
         coin_toss=True, mirror=mirror, staged=half,
     )
-    if not mirror:
-        return successes, 1.0, {"n_blocks": n, "block_len": k}
-    resolved = {"n_blocks": n, "block_len": k, "half_disclosure": half}
-    reference = float(mirror_guess_acceptance(n, k)) if half else 1.0
-    return successes, reference, resolved
+    if mirror and half:
+        return successes, float(mirror_guess_acceptance(config.n_blocks, config.block_len))
+    return successes, 1.0
 
 
-_KERNELS = {
-    "identification": _kernel_identification,
-    "parity_guess": _kernel_parity_guess,
-    "cheat_detection": _kernel_cheat_detection,
-    "bc_honest": _kernel_bc,
-    "ct_honest": _kernel_ct,
-    "ct_sendback": partial(_kernel_ct, scenario="ct_sendback"),
-    "tailed_completion": partial(_kernel_bc, scenario="tailed_completion"),
+class _Scenario(NamedTuple):
+    """A scenario's kernel(config, options, trials, seed) -> (successes,
+    reference), its default config, and its grid parameters, all reported by
+    every cell.  ``options`` holds the parameters that are not config fields,
+    and ``seed`` is (master seed, scenario code, cell index)."""
+
+    kernel: Callable
+    config: ProtocolConfig
+    params: tuple[str, ...]
+
+
+# One declaration per scenario; the order fixes the seed codes.
+_SCENARIOS = {
+    "identification": _Scenario(
+        _kernel_identification, ProtocolConfig(1, 1), ("tau_d", "width", "separation")),
+    "parity_guess": _Scenario(
+        _kernel_parity_guess, ProtocolConfig(1, 1), ("n_blocks", "block_len")),
+    "cheat_detection": _Scenario(
+        _kernel_cheat_detection, ProtocolConfig(2, 1),
+        ("n_blocks", "block_len", "delayed_blocks")),
+    "bc_honest": _Scenario(
+        _kernel_bc, ProtocolConfig(2, 2), ("n_blocks", "block_len", "width", "separation")),
+    "ct_honest": _Scenario(_kernel_ct, ProtocolConfig(2, 2), ("n_blocks", "block_len")),
+    "ct_sendback": _Scenario(
+        _kernel_ct, ProtocolConfig(2, 1), ("n_blocks", "block_len", "half_disclosure")),
+    "tailed_completion": _Scenario(
+        _kernel_bc, ProtocolConfig(2, 2, tail_exponent=4.0),
+        ("n_blocks", "block_len", "tail_exponent")),
 }
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def _checked(name: str, value, default):
+    """The one type rule: a grid value takes the type of its default, and a
+    default that is neither bool nor int (even None) asks for a real."""
+    if isinstance(default, bool):
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        return bool(value)
+    if isinstance(default, int):
+        return _integer(name, value)
+    return _real(name, value)
+
+
+def _resolve(scenario: str, cell: dict) -> tuple[ProtocolConfig, dict]:
+    """One grid cell as its checked ProtocolConfig and options."""
+    entry = _SCENARIOS[scenario]
+    options = {name: _OPTION_DEFAULTS[name] for name in entry.params if name in _OPTION_DEFAULTS}
+    changes = {}
+    for name, value in cell.items():
+        if name in options:
+            options[name] = _checked(name, value, _OPTION_DEFAULTS[name])
+        else:
+            key = _CONFIG_FIELD.get(name, name)
+            changes[key] = _checked(name, value, getattr(entry.config, key))
+    config = replace(entry.config, **changes)
+    if not 1 <= options.get("delayed_blocks", 1) <= config.n_blocks:
+        raise ValueError("delayed_blocks must lie in [1, n_blocks]")
+    return config, options
 
 
 def _run_cell(spec: ExperimentSpec, cell_index: int) -> SummaryCell:
-    params = spec.cells()[cell_index]
-    kernel = _KERNELS[spec.scenario]
-    successes, reference, resolved = kernel(params, spec.trials, spec.master_seed, cell_index)
+    entry = _SCENARIOS[spec.scenario]
+    config, options = spec._resolved[cell_index]
+    seed = (spec.master_seed, SCENARIOS.index(spec.scenario) + 1, cell_index)
+    successes, reference = entry.kernel(config, options, spec.trials, seed)
+    # the config's tau_d property reads back the resolved disclosure horizon
+    params = {name: options[name] if name in options else getattr(config, name)
+              for name in entry.params}
     ci_lo, ci_hi = wilson_interval(successes, spec.trials)
     z = _z_score(successes, spec.trials, reference)
     return SummaryCell(
         scenario=spec.scenario,
-        params=tuple(sorted(resolved.items())),
+        params=tuple(sorted(params.items())),
         trials=spec.trials,
         successes=successes,
         estimate=successes / spec.trials,
@@ -334,7 +323,7 @@ def _run_cell(spec: ExperimentSpec, cell_index: int) -> SummaryCell:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryCell]:
     """Evaluate every grid cell; deterministic for a given spec and seed."""
-    indices = range(len(spec.cells()))
+    indices = range(len(spec._resolved))
     if jobs <= 1:
         return [_run_cell(spec, i) for i in indices]
     # a pool forks all its workers at once, so never ask for more than cells
@@ -345,25 +334,14 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryCell]:
 def cells_to_csv(cells: list[SummaryCell]) -> str:
     buf = io.StringIO()
     buf.write(CSV_SCHEMA_HEADER + "\n")
+    # every parameter has a column; the writer leaves the others empty
     writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS)
     writer.writeheader()
     for cell in cells:
-        row = {name: "" for name in _CSV_COLUMNS}
-        row.update(
-            scenario=cell.scenario,
-            trials=cell.trials,
-            successes=cell.successes,
-            estimate=repr(cell.estimate),
-            ci_lo=repr(cell.ci_lo),
-            ci_hi=repr(cell.ci_hi),
-            reference=repr(cell.reference),
-            z=repr(cell.z),
-            mode=cell.mode,
-        )
+        stats = ((name, getattr(cell, name)) for name in _STATS)
+        values = [("scenario", cell.scenario), *cell.params, *stats]
+        row = {name: repr(v) if isinstance(v, float) else str(v) for name, v in values}
         row["pass"] = str(cell.passed).lower()
-        for name, value in cell.params:
-            if name in _CSV_COLUMNS:
-                row[name] = repr(value) if isinstance(value, float) else str(value)
         writer.writerow(row)
     return buf.getvalue()
 
@@ -373,16 +351,10 @@ def cells_to_json(cells: list[SummaryCell]) -> str:
         "schema": 1,
         "cells": [
             {
+                **{name: getattr(c, name) for name in _STATS},
                 "scenario": c.scenario,
                 "params": c.params_dict,
-                "trials": c.trials,
-                "successes": c.successes,
-                "estimate": c.estimate,
-                "ci_lo": c.ci_lo,
-                "ci_hi": c.ci_hi,
-                "reference": c.reference,
                 "z": c.z if math.isfinite(c.z) else None,
-                "mode": c.mode,
                 "pass": c.passed,
             }
             for c in cells

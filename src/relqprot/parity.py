@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_BOUND = 20
+# Enumeration holds all 2^(N*k) strings at once (about 0.2 GB at 2^24), so no
+# bound lifts it past this ceiling.
+_ENUM_CEILING = 24
 
 
 class EnumerationBoundError(ValueError):
@@ -67,14 +70,16 @@ def count_block_strings(
 ) -> tuple[int, int]:
     """Exhaustively count even- and odd-parity block strings.
 
-    Walks all 2^(N*k) channel strings, so it is gated by ``enum_bound``; use
-    the closed-form counter beyond that.
+    Walks all 2^(N*k) channel strings, so it is gated by ``enum_bound``, and
+    by a fixed ceiling of 2^24 whatever the bound; use the closed-form counter
+    beyond that.
     """
     _validate_nk(n_blocks, block_len)
     n = n_blocks * block_len
-    if n > enum_bound:
+    bound = min(enum_bound, _ENUM_CEILING)
+    if n > bound:
         raise EnumerationBoundError(
-            f"enumerating 2^{n} strings exceeds the bound of 2^{enum_bound}"
+            f"enumerating 2^{n} strings exceeds the bound of 2^{bound}"
         )
     states = np.arange(1 << n, dtype=np.uint64)
     pop = np.bitwise_count(states)

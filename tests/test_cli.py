@@ -67,6 +67,11 @@ def test_count_verify_over_bound(capsys):
         ["count", "-N", "3", "-k", "7", "--verify", "--enum-bound", "21"], capsys
     )
     assert code == 0
+    # no bound lifts enumeration past its fixed ceiling of 2^24 strings
+    code, _, err = run_cli(
+        ["count", "-N", "10", "-k", "4", "--verify", "--enum-bound", "64"], capsys
+    )
+    assert code == 3 and "2^40 strings exceeds the bound of 2^24" in err
 
 
 def test_run_bc_honest(tmp_path, capsys):
@@ -410,7 +415,7 @@ _SPEC = st.sampled_from(experiment.SCENARIOS).flatmap(lambda scenario: _overwrit
         "scenario": st.just(scenario),
         "grid": st.fixed_dictionaries({}, optional={
             name: st.lists(_GRID_VALUES[name], min_size=1, max_size=2)
-            for name in sorted(experiment._ALLOWED_PARAMS[scenario])
+            for name in sorted(experiment._SCENARIOS[scenario].params)
         }),
         "trials": st.integers(1, 30),
     }),

@@ -269,3 +269,50 @@ def test_parity_guess_cells_graded_against_exact_optimum():
                  for c in cells}
     assert reference[(2, 1)] == 0.625
     assert reference[(2, 2)] == 25 / 32
+
+
+# Each scenario's grid parameters, every one of which each cell reports.
+_PARAMETERS = {
+    "identification": {"tau_d", "width", "separation"},
+    "parity_guess": {"n_blocks", "block_len"},
+    "cheat_detection": {"n_blocks", "block_len", "delayed_blocks"},
+    "bc_honest": {"n_blocks", "block_len", "width", "separation"},
+    "ct_honest": {"n_blocks", "block_len"},
+    "ct_sendback": {"n_blocks", "block_len", "half_disclosure"},
+    "tailed_completion": {"n_blocks", "block_len", "tail_exponent"},
+}
+
+
+@pytest.mark.parametrize("scenario", experiment.SCENARIOS)
+def test_every_cell_reports_every_parameter_in_its_column(scenario):
+    grid = {"width": [1, 1.5]} if scenario == "identification" else {"n_blocks": [2, 3]}
+    cells = run_experiment(spec(scenario=scenario, grid=grid, trials=20))
+    header, *rows = cells_to_csv(cells).splitlines()[1:]
+    for cell, row in zip(cells, rows):
+        assert set(cell.params_dict) == _PARAMETERS[scenario]
+        filled = {name for name, value in zip(header.split(","), row.split(",")) if value}
+        assert _PARAMETERS[scenario] <= filled
+    if scenario == "identification":  # an integer width is reported as a real
+        assert repr(cells[0].params_dict["width"]) == "1.0"
+
+
+def test_bc_honest_rows_tell_width_and_separation_apart():
+    cells = run_experiment(spec(scenario="bc_honest",
+                                grid={"width": [1.0, 1.5], "separation": [8.0, 9.5]}, trials=20))
+    assert len(set(cells_to_csv(cells).splitlines()[2:])) == 4
+
+
+@pytest.mark.parametrize(
+    "scenario, grid",
+    [
+        ("identification", {"tau_d": [5.0, 20.0]}),  # out of range
+        ("tailed_completion", {"tail_exponent": [2.0, None]}),
+        ("cheat_detection", {"n_blocks": 2, "delayed_blocks": [1, True]}),
+        ("ct_sendback", {"half_disclosure": [True, 1]}),
+        ("bc_honest", {"width": [1.0, "1.5"]}),
+    ],
+)
+def test_a_bad_value_in_a_later_cell_fails_the_spec(scenario, grid):
+    # every cell is resolved when the spec is built, before any trial runs
+    with pytest.raises(ValueError):
+        ExperimentSpec.from_dict({"scenario": scenario, "grid": grid, "trials": 10})

@@ -82,6 +82,8 @@ def test_enumeration_bound_enforced():
     with pytest.raises(EnumerationBoundError):
         count_block_strings(3, 7)
     assert count_block_strings(3, 7, enum_bound=21) == count_block_strings_closed(3, 7)
+    with pytest.raises(EnumerationBoundError):  # a fixed ceiling, whatever the bound
+        count_block_strings(10, 4, enum_bound=64)
 
 
 def test_large_closed_counts_stay_exact():

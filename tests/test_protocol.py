@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from relqprot.experiment import _optimal_guesses
 from relqprot.protocol import (
     HONEST,
     PERP,
@@ -41,6 +42,16 @@ def aborts(batch):
 def within_3_sigma(hits, ref):
     sigma = math.sqrt(ref * (1 - ref) / hits.size)
     return abs(np.mean(hits) - ref) <= 3 * sigma
+
+
+def early_guesses(cfg, batch):
+    """B's optimal parity guess per trial from the A->B outcomes that fired
+    by tau_d and are not PERP."""
+    taus, outcomes = batch.ab[:2]
+    visible = (taus <= cfg.tau_d) & (outcomes != PERP)
+    ones = np.count_nonzero(visible & (outcomes == 1), axis=1)
+    zeros = np.count_nonzero(visible & (outcomes == 0), axis=1)
+    return _optimal_guesses(cfg.n_blocks, cfg.block_len, ones, zeros)
 
 
 # -------------------------------------------------------------- configuration
@@ -134,15 +145,20 @@ def test_two_delayed_blocks_compound():
 
 def test_early_guess_single_state_identification():
     cfg = ProtocolConfig(1, 1)
-    trials = 6000
-    correct = 0
-    for seed in range(trials):
-        res = run_bit_commitment(cfg, strategy_b=EarlyGuess(), seed=seed)
-        assert res.early_guess is not None
-        correct += res.early_guess.correct
-    ref = 0.75
-    sigma = math.sqrt(ref * (1 - ref) / trials)
-    assert abs(correct / trials - ref) <= 3 * sigma
+    batch = simulate(cfg, 6000, np.random.default_rng(0))
+    assert within_3_sigma(early_guesses(cfg, batch) == batch.committed, 0.75)
+
+
+@pytest.mark.parametrize("run, coin_toss", [(run_bit_commitment, False), (run_coin_toss, True)])
+@pytest.mark.parametrize("n, k, tau_d", [(1, 1, None), (4, 1, None), (2, 3, 5.0)])
+def test_reported_early_guess_is_the_guess_on_the_engine_outcomes(run, coin_toss, n, k, tau_d):
+    # the rate tests grade early_guesses(); a run must report the same guess
+    cfg = config(n, k, disclosure_time=tau_d)
+    for seed in range(30):
+        report = run(cfg, strategy_b=EarlyGuess(), seed=seed).early_guess
+        batch = simulate(cfg, 1, seed, coin_toss=coin_toss)
+        assert report.guess == early_guesses(cfg, batch)[0]
+        assert report.correct == (report.guess == batch.committed[0])
 
 
 def test_early_guess_visible_channels_only():
@@ -278,15 +294,9 @@ def test_mirror_guess_oracle_beyond_sixteen_guessed_channels():
 
 def test_ct_early_guess_reported():
     cfg = ProtocolConfig(4, 1)
-    trials = 4000
-    correct = 0
-    for seed in range(trials):
-        res = run_coin_toss(cfg, strategy_b=EarlyGuess(), seed=seed)
-        assert res.verdict.accepted
-        correct += res.early_guess.correct
-    ref = 0.5 + 2.0**-5
-    sigma = math.sqrt(ref * (1 - ref) / trials)
-    assert abs(correct / trials - ref) <= 3 * sigma
+    batch = simulate(cfg, 4000, np.random.default_rng(0), coin_toss=True)
+    assert batch.accepted.all()
+    assert within_3_sigma(early_guesses(cfg, batch) == batch.committed, 0.5 + 2.0**-5)
 
 
 # -------------------------------------------------------------------- tailed
