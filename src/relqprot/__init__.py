@@ -72,4 +72,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"

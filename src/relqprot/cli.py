@@ -49,6 +49,10 @@ EXIT_BOUND = 3
 EXIT_ABORTED = 4
 EXIT_SWEEP_FAILED = 5
 
+# receiver strategies by their --strategy-b name
+_STRATEGIES_B = {"honest": HONEST, "earlyguess": EarlyGuess(), "sendback": SendBack()}
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -92,8 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--strategy-a", choices=("honest", "delay"), default="honest")
     run.add_argument("--delay-blocks", default="0",
                      help="comma-separated block indices withheld by the sender")
-    run.add_argument("--strategy-b", choices=("honest", "earlyguess", "sendback"),
-                     default="honest")
+    run.add_argument("--strategy-b", choices=tuple(_STRATEGIES_B), default="honest")
     run.add_argument("--no-half-disclosure", action="store_true",
                      help="coin toss only: disclose everything in one phase")
     run.add_argument("--out", default="transcript.jsonl",
@@ -132,8 +135,7 @@ def _cmd_analytic(args) -> int:
     ]
     if args.tail_exponent is not None:
         if not args.tail_exponent > 0:
-            print("error: tail exponent must be positive", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("tail exponent must be positive")
         completion = (1.0 - math.exp(-args.tail_exponent)) ** (n * k)
         rows.append(("tailed honest completion ((1-e^-xi)^(N k))", _fmt(completion)))
     print(f"closed-form rates for N={n} blocks of k={k}")
@@ -153,11 +155,7 @@ def _cmd_count(args) -> int:
     even, odd = count_block_strings_closed(n, k)
     print(f"S_even={even} S_odd={odd} total={even + odd} alpha={_fmt(alpha(n, k))}")
     if args.verify:
-        try:
-            enum_even, enum_odd = count_block_strings(n, k, enum_bound=args.enum_bound)
-        except EnumerationBoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BOUND
+        enum_even, enum_odd = count_block_strings(n, k, enum_bound=args.enum_bound)
         if (enum_even, enum_odd) != (even, odd):
             print(
                 f"mismatch: enumeration found S_even={enum_even} S_odd={enum_odd}",
@@ -191,66 +189,42 @@ def _build_config(args) -> ProtocolConfig:
     return ProtocolConfig(**values)
 
 
-def _cmd_run(args) -> int:
+def _delay_blocks(text: str) -> list[int]:
     try:
-        config = _build_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return [int(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise ValueError("--delay-blocks must be comma-separated integers") from None
+
+
+def _cmd_run(args) -> int:
+    config = _build_config(args)
     if args.verbose:
         print(f"config: {config}", file=sys.stderr)
 
+    strategy_b = _STRATEGIES_B[args.strategy_b]
     if args.protocol == "bc":
         if args.strategy_b == "sendback":
-            print("error: the send-back strategy applies to the coin toss only",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("the send-back strategy applies to the coin toss only")
         if args.no_half_disclosure:
-            print("error: --no-half-disclosure applies to the coin toss only",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--no-half-disclosure applies to the coin toss only")
         strategy_a = HONEST
         if args.strategy_a == "delay":
-            try:
-                blocks = [int(x) for x in args.delay_blocks.split(",") if x.strip() != ""]
-            except ValueError:
-                print("error: --delay-blocks must be comma-separated integers",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            strategy_a = DelayBlocks(blocks)
-        strategy_b = EarlyGuess() if args.strategy_b == "earlyguess" else HONEST
-        try:
-            result = run_bit_commitment(config, strategy_a, strategy_b)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        early = result.early_guess
+            strategy_a = DelayBlocks(_delay_blocks(args.delay_blocks))
+        result = run_bit_commitment(config, strategy_a, strategy_b)
     else:
         if args.strategy_a == "delay":
-            print("error: the delay strategy applies to bit commitment only",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        strategy_b = {"honest": HONEST, "earlyguess": EarlyGuess(),
-                      "sendback": SendBack()}[args.strategy_b]
-        try:
-            result = run_coin_toss(
-                config,
-                strategy_b=strategy_b,
-                enforce_half_disclosure=not args.no_half_disclosure,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        early = result.early_guess
+            raise ValueError("the delay strategy applies to bit commitment only")
+        result = run_coin_toss(
+            config,
+            strategy_b=strategy_b,
+            enforce_half_disclosure=not args.no_half_disclosure,
+        )
 
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(transcript_to_jsonl(result.transcript))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(transcript_to_jsonl(result.transcript))
     print(result.verdict.code())
+    early = result.early_guess
     if early is not None:
         outcome = "correct" if early.correct else "wrong"
         print(f"early_guess={early.guess} confidence={_fmt(early.confidence)} {outcome}")
@@ -258,28 +232,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        data = _load_json(args.config)
-        if args.seed is not None:
-            data["master_seed"] = args.seed
-        spec = ExperimentSpec.from_dict(data)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    data = _load_json(args.config)
+    if args.seed is not None:
+        data["master_seed"] = args.seed
+    spec = ExperimentSpec.from_dict(data)
     if args.verbose:
         print(f"spec: {spec}", file=sys.stderr)
-    try:
-        cells = run_experiment(spec, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cells = run_experiment(spec, jobs=args.jobs)
     text = cells_to_csv(cells) if args.format == "csv" else cells_to_json(cells)
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
     for cell in cells:
         params = " ".join(f"{k}={v}" for k, v in cell.params)
         status = "pass" if cell.passed else "FAIL"
@@ -293,7 +255,14 @@ def _cmd_sweep(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except EnumerationBoundError as exc:  # a ValueError, so it is caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:

@@ -117,14 +117,7 @@ class ProtocolConfig:
                 _real(name, getattr(self, name))
         if self.n_blocks < 1 or self.block_len < 1:
             raise ValueError("n_blocks and block_len must be at least 1")
-        if not self.width > 0:
-            raise ValueError("width must be positive")
-        if self.tail_exponent is None and not self.separation > 2 * self.width:
-            raise ValueError("compact mode requires separation > 2 * width")
-        if not self.separation > 0:
-            raise ValueError("separation must be positive")
-        if self.tail_exponent is not None and not self.tail_exponent > 0:
-            raise ValueError("tail_exponent must be positive")
+        self.make_state(0)  # the profile rules live with the geometry
         if not 0 <= self.channel_delay < self.separation + 2 * self.width:
             raise ValueError("channel_delay must lie below the state extent")
         if self.disclosure_time is not None and not (

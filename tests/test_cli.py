@@ -159,6 +159,11 @@ def test_run_usage_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    code, _, err = run_cli(
+        ["run", "bc", "-N", "2", "-k", "2", "--xi", "1e-300", "--out", str(tmp_path / "t.jsonl")],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error:") and "below 1" in err
 
 
 def test_run_verbose_echoes_config(tmp_path, capsys):
@@ -278,6 +283,13 @@ def test_sweep_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", str(invalid), "--out",
                             str(tmp_path / "z.csv")], capsys)
     assert code == 2 and "delayed_blocks" in err
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"scenario": "tailed_completion",
+                                "grid": {"tail_exponent": [4.0, 1e-300]},
+                                "trials": 10}))
+    code, out, err = run_cli(["sweep", "--config", str(tiny), "--out",
+                              str(tmp_path / "t.csv")], capsys)
+    assert code == 2 and out == "" and "below 1" in err  # no cell ran
 
 
 def test_sweep_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -68,6 +68,8 @@ def test_config_validation():
         ProtocolConfig(2, 2, disclosure_time=0.5)
     with pytest.raises(ValueError):
         ProtocolConfig(2, 2, disclosure_time=9.5)
+    with pytest.raises(ValueError):
+        ProtocolConfig(2, 2, tail_exponent=1e-300)  # exp(-xi) rounds to 1
     cfg = ProtocolConfig(2, 2, channel_delay=3.0, disclosure_time=4.0)
     assert cfg.tau_d == 4.0
     assert config().tau_d == pytest.approx(5.0)

@@ -103,10 +103,14 @@ def test_mass_is_translation_invariant(delta, lo, span, xi):
 
 
 def test_ppf_inverts_cdf():
+    # the edge draws include the smallest subnormal and the largest double below 1
+    edges = np.array([0.0, 5e-324, 1e-300, 1 - 2.0**-53])
     for wf in (Waveform(1.3, center=0.7), Waveform(1.0, tail_exponent=3.0)):
-        q = np.linspace(1e-6, 1 - 1e-6, 2001)
-        back = wf.cdf(wf.ppf(q))
-        assert np.max(np.abs(back - q)) < 1e-9
+        q = np.sort(np.concatenate([edges, np.linspace(1e-6, 1 - 1e-6, 2001)]))
+        u = wf.ppf(q)
+        lo, hi = wf.support
+        assert np.all((lo <= u) & (u <= hi)) and np.all(np.diff(u) >= 0)
+        assert np.max(np.abs(wf.cdf(u) - q)) < 1e-9
 
 
 def test_sampled_fire_times_match_window_mass():
@@ -168,6 +172,8 @@ def test_validation_errors():
         Waveform(-1.0)
     with pytest.raises(ValueError):
         Waveform(1.0, tail_exponent=0.0)
+    with pytest.raises(ValueError, match="below 1"):
+        Waveform(1.0, tail_exponent=1e-300)  # exp(-xi) rounds to 1
     with pytest.raises(ValueError):
         Window(2.0, 2.0)
     with pytest.raises(ValueError):
