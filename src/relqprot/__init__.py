@@ -72,4 +72,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .experiment import (
@@ -134,9 +133,8 @@ def _cmd_analytic(args) -> int:
         ("single-block delay escape (2^-k)", _fmt(0.5**k)),
     ]
     if args.tail_exponent is not None:
-        if not args.tail_exponent > 0:
-            raise ValueError("tail exponent must be positive")
-        completion = (1.0 - math.exp(-args.tail_exponent)) ** (n * k)
+        config = ProtocolConfig(n, k, tail_exponent=args.tail_exponent)
+        completion = (1.0 - config.make_state().front.tail_mass) ** config.n_channels
         rows.append(("tailed honest completion ((1-e^-xi)^(N k))", _fmt(completion)))
     print(f"closed-form rates for N={n} blocks of k={k}")
     width = max(len(label) for label, _ in rows)

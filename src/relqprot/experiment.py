@@ -158,7 +158,7 @@ def _z_score(successes: int, trials: int, reference: float) -> float:
 
 
 def _kernel_identification(config, options, trials, seed):
-    state = config.make_state(0)
+    state = config.make_state()
     rng = np.random.default_rng(seed)
     taus = state.sample_fire_time(rng, trials)
     bits = rng.integers(0, 2, trials)
@@ -209,14 +209,12 @@ def _engine_successes(config, trials, seed, success, **options) -> int:
 
 
 def _kernel_bc(config, options, trials, seed):
-    """Honest commitment accepted with the committed bit: exactly for compact
-    profiles, per channel with probability 1 - e^-xi for Gaussian tails."""
+    """Honest commitment accepted with the committed bit: each channel passes
+    unless its outcome falls in the profile's tail mass (0 when compact)."""
     successes = _engine_successes(
         config, trials, seed, lambda b: b.accepted & (b.parity_a == b.committed)
     )
-    if config.is_compact:
-        return successes, 1.0
-    return successes, (1.0 - math.exp(-config.tail_exponent)) ** config.n_channels
+    return successes, (1.0 - config.make_state().front.tail_mass) ** config.n_channels
 
 
 def _kernel_ct(config, options, trials, seed):

@@ -117,7 +117,7 @@ class ProtocolConfig:
                 _real(name, getattr(self, name))
         if self.n_blocks < 1 or self.block_len < 1:
             raise ValueError("n_blocks and block_len must be at least 1")
-        self.make_state(0)  # the profile rules live with the geometry
+        self.make_state()  # the profile rules live with the geometry
         if not 0 <= self.channel_delay < self.separation + 2 * self.width:
             raise ValueError("channel_delay must lie below the state extent")
         if self.disclosure_time is not None and not (
@@ -128,10 +128,6 @@ class ProtocolConfig:
     @property
     def n_channels(self) -> int:
         return self.n_blocks * self.block_len
-
-    @property
-    def is_compact(self) -> bool:
-        return self.tail_exponent is None
 
     @property
     def tau_d(self) -> float:
@@ -145,10 +141,9 @@ class ProtocolConfig:
         """Light-cone coordinate at which the entire nominal state is visible."""
         return self.separation + self.width
 
-    def make_state(self, bit: int, translation: float = 0.0) -> StretchedState:
-        return StretchedState.create(
-            self.width, self.separation, bit, self.tail_exponent, translation
-        )
+    def make_state(self) -> StretchedState:
+        """The agreed profile; the engine carries each channel's bit apart."""
+        return StretchedState.create(self.width, self.separation, 0, self.tail_exponent)
 
 
 def accessible_horizon(config: ProtocolConfig, t: float) -> float:
@@ -394,15 +389,19 @@ def simulate(
     ``rng`` is a numpy Generator or a seed.  Draw order: A's block values and
     permutation, B's (honest coin toss), the A->B fire coordinates, the
     delayed-block outcomes, the B->A coordinates, then a mirror's blind
-    guesses.  A mirror (``SendBack``) returns A's own states, which reach A
-    one channel delay later on A's light cone; with ``staged`` disclosure it
-    must announce the hidden half before seeing it.  Every announcement that
-    a party checks is verified in full.
+    guesses.  ``delayed_blocks`` are the ids, each in [0, n_blocks), of the
+    blocks a delaying sender withholds.  A mirror (``SendBack``) returns A's
+    own states, which reach A one channel delay later on A's light cone;
+    with ``staged`` disclosure it must announce the hidden half before
+    seeing it.  Every announcement that a party checks is verified in full.
     """
     if mirror and not coin_toss:
         raise ValueError("a mirroring peer takes part in the coin toss only")
+    delayed_blocks = frozenset(delayed_blocks)
+    if any(not 0 <= b < config.n_blocks for b in delayed_blocks):
+        raise ValueError("delayed block index out of range")
     rng = np.random.default_rng(rng)
-    state = config.make_state(0)
+    state = config.make_state()
     committed, blocks_a, bits_a = sample_secret(config, trials, rng)
     if coin_toss and not mirror:
         _, blocks_b, bits_b = sample_secret(config, trials, rng)
@@ -512,8 +511,6 @@ def run_bit_commitment(
     if not isinstance(strategy_b, (Honest, EarlyGuess)):
         raise ValueError("receiver strategy must be Honest or EarlyGuess")
     delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
-    if any(not 0 <= b < config.n_blocks for b in delayed):
-        raise ValueError("delayed block index out of range")
     seed = config.master_seed if seed is None else seed
     batch = simulate(config, 1, seed, delayed_blocks=delayed)
     committed = int(batch.committed[0])
@@ -541,7 +538,7 @@ def run_bit_commitment(
 
 def run_coin_toss(
     config: ProtocolConfig,
-    strategy_a=HONEST,
+    *,
     strategy_b=HONEST,
     enforce_half_disclosure: bool = True,
     seed: int | None = None,
@@ -552,10 +549,9 @@ def run_coin_toss(
     the two announced parities (the initiator wins on 0 by the pre-agreed
     mapping).  With staged disclosure the responder's first batch must cover
     the channel indices the initiator has not yet disclosed, which is what
-    forces a mirroring cheater into blind per-channel guesses.
+    forces a mirroring cheater into blind per-channel guesses.  Only an
+    honest initiator is modeled.
     """
-    if not isinstance(strategy_a, Honest):
-        raise ValueError("only an honest initiator is modeled for the coin toss")
     if not isinstance(strategy_b, (Honest, EarlyGuess, SendBack)):
         raise ValueError("peer strategy must be Honest, EarlyGuess, or SendBack")
     mirror = isinstance(strategy_b, SendBack)

@@ -72,9 +72,14 @@ class Waveform:
     def __post_init__(self) -> None:
         if not self.width > 0:
             raise ValueError("width must be positive")
+        # checked in this order: a tiny xi rounds exp(-xi) to 1, which the
+        # scale divides by; from about 744.03 up erfcinv(exp(-xi)) is inf
         xi = self.tail_exponent
-        if xi is not None and not (xi > 0 and math.exp(-xi) < 1.0):
-            raise ValueError("tail_exponent must be positive, with exp(-tail_exponent) below 1")
+        if xi is not None and not (xi > 0 and math.exp(-xi) < 1.0 and self.sigma > 0):
+            raise ValueError(
+                "tail_exponent must be positive, with exp(-tail_exponent) below 1"
+                " and a positive Gaussian scale (about 5.6e-17 < tail_exponent < 744.03)"
+            )
 
     @property
     def is_compact(self) -> bool:
@@ -197,27 +202,12 @@ class StretchedState:
         return cls(front, front.translated(separation), bit)
 
     @property
-    def width(self) -> float:
-        return self.front.width
-
-    @property
     def separation(self) -> float:
         return self.rear.center - self.front.center
 
     @property
     def translation(self) -> float:
         return self.front.center
-
-    @property
-    def is_compact(self) -> bool:
-        return self.front.is_compact
-
-    @property
-    def tail_exponent(self) -> float | None:
-        return self.front.tail_exponent
-
-    def density(self, tau):
-        return 0.5 * (self.front.density(tau) + self.rear.density(tau))
 
     def window_mass(self, window: Window) -> float:
         """Probability that a detector confined to ``window`` obtains an outcome."""

@@ -28,7 +28,15 @@ def test_analytic_block_values(capsys):
     assert "alpha" in out and "0.75" in out
     assert "0.625" in out  # block-coded reference bound at (2, 2)
     assert "0.25" in out  # delay escape 2^-2
-    assert "tailed honest completion" in out
+    row = next(line for line in out.splitlines() if "tailed honest completion" in line)
+    # the sweep grades tailed_completion against the same law
+    spec = experiment.ExperimentSpec.from_dict({
+        "scenario": "tailed_completion",
+        "grid": {"n_blocks": 2, "block_len": 2, "tail_exponent": 4.0}, "trials": 1,
+    })
+    reference = experiment.run_experiment(spec)[0].reference
+    assert reference == pytest.approx(0.928725, abs=1e-6)
+    assert row.split(":")[-1].strip() == f"{reference:.12g}"
 
 
 def test_analytic_plain_value_at_larger_n(capsys):
@@ -42,6 +50,9 @@ def test_analytic_rejects_bad_parameters(capsys):
         main(["analytic", "-N", "0", "-k", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+    for xi in ("1e-300", "800"):  # exp(-xi) rounds to 1; the Gaussian scale underflows
+        code, out, err = run_cli(["analytic", "-N", "2", "-k", "2", "--xi", xi], capsys)
+        assert code == 2 and out == "" and "below 1" in err
 
 
 def test_count_basic(capsys):
@@ -138,7 +149,7 @@ def test_run_ct_sendback_without_half_disclosure(tmp_path, capsys):
     assert out.startswith("ACCEPTED:0")
 
 
-def test_run_usage_errors(tmp_path, capsys):
+def test_run_usage_errors(tmp_path, capsys, recwarn):
     code, _, err = run_cli(
         ["run", "bc", "-N", "2", "-k", "2", "--strategy-b", "sendback"], capsys
     )
@@ -164,6 +175,13 @@ def test_run_usage_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and err.startswith("error:") and "below 1" in err
+    code, _, err = run_cli(
+        ["run", "bc", "-N", "2", "-k", "2", "--xi", "800", "--strategy-a", "delay",
+         "--delay-blocks", "0", "--out", str(tmp_path / "t.jsonl")],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert not recwarn.list  # the Gaussian scale is checked before any quadrature
 
 
 def test_run_verbose_echoes_config(tmp_path, capsys):
@@ -283,13 +301,15 @@ def test_sweep_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(["sweep", "--config", str(invalid), "--out",
                             str(tmp_path / "z.csv")], capsys)
     assert code == 2 and "delayed_blocks" in err
-    tiny = tmp_path / "tiny.json"
-    tiny.write_text(json.dumps({"scenario": "tailed_completion",
-                                "grid": {"tail_exponent": [4.0, 1e-300]},
-                                "trials": 10}))
-    code, out, err = run_cli(["sweep", "--config", str(tiny), "--out",
-                              str(tmp_path / "t.csv")], capsys)
-    assert code == 2 and out == "" and "below 1" in err  # no cell ran
+    # exp(-xi) rounds to 1 at 1e-300; the Gaussian scale underflows at 800
+    for xi in (1e-300, 800.0):
+        bad_xi = tmp_path / "bad_xi.json"
+        bad_xi.write_text(json.dumps({"scenario": "tailed_completion",
+                                      "grid": {"tail_exponent": [4.0, xi]},
+                                      "trials": 10}))
+        code, out, err = run_cli(["sweep", "--config", str(bad_xi), "--out",
+                                  str(tmp_path / "t.csv")], capsys)
+        assert code == 2 and out == "" and "below 1" in err  # no cell ran
 
 
 def test_sweep_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -311,6 +311,7 @@ def test_bc_honest_rows_tell_width_and_separation_apart():
         ("ct_sendback", {"half_disclosure": [True, 1]}),
         ("bc_honest", {"width": [1.0, "1.5"]}),
         ("tailed_completion", {"tail_exponent": [4.0, 1e-300]}),  # exp(-xi) rounds to 1
+        ("tailed_completion", {"tail_exponent": [4.0, 800.0]}),  # the Gaussian scale underflows
     ],
 )
 def test_a_bad_value_in_a_later_cell_fails_the_spec(scenario, grid):

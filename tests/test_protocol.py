@@ -70,6 +70,9 @@ def test_config_validation():
         ProtocolConfig(2, 2, disclosure_time=9.5)
     with pytest.raises(ValueError):
         ProtocolConfig(2, 2, tail_exponent=1e-300)  # exp(-xi) rounds to 1
+    for xi in (744.5, 800.0):  # the Gaussian scale underflows to 0
+        with pytest.raises(ValueError):
+            ProtocolConfig(2, 2, tail_exponent=xi)
     cfg = ProtocolConfig(2, 2, channel_delay=3.0, disclosure_time=4.0)
     assert cfg.tau_d == 4.0
     assert config().tau_d == pytest.approx(5.0)
@@ -96,7 +99,7 @@ def test_config_rejects_mistyped_fields(fields):
 def test_accessible_horizon():
     cfg = config(channel_delay=2.0)
     assert accessible_horizon(cfg, 0.0) == -2.0
-    state = cfg.make_state(0)
+    state = cfg.make_state()
     # when the horizon reaches separation - width, exactly the front hump shows
     t = cfg.channel_delay + cfg.separation - cfg.width
     mass = state.window_mass(Window(-math.inf, accessible_horizon(cfg, t)))
@@ -187,9 +190,13 @@ def test_strategy_validation():
     with pytest.raises(ValueError):
         run_bit_commitment(cfg, strategy_a=DelayBlocks([5]))
     with pytest.raises(ValueError):
-        run_coin_toss(cfg, strategy_a=SendBack())
-    with pytest.raises(ValueError):
         run_coin_toss(cfg, strategy_b=DelayBlocks([0]))
+
+
+@pytest.mark.parametrize("blocks", [{5}, {-1}])
+def test_simulate_rejects_delayed_blocks_out_of_range(blocks):
+    with pytest.raises(ValueError, match="delayed block index out of range"):
+        simulate(ProtocolConfig(2, 2), 1000, 0, delayed_blocks=blocks)
 
 
 # ------------------------------------------------- block reassignment immunity

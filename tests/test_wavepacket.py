@@ -174,6 +174,12 @@ def test_validation_errors():
         Waveform(1.0, tail_exponent=0.0)
     with pytest.raises(ValueError, match="below 1"):
         Waveform(1.0, tail_exponent=1e-300)  # exp(-xi) rounds to 1
+    for xi in (744.5, 800.0):  # erfcinv(exp(-xi)) is inf, so the Gaussian scale is 0
+        with pytest.raises(ValueError, match="below 1"):
+            Waveform(1.0, tail_exponent=xi)
+    near = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=744.0)  # still accepted
+    assert near.front.sigma == pytest.approx(0.026, abs=5e-4)
+    assert delayed_overlap(near.rear, near) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         Window(2.0, 2.0)
     with pytest.raises(ValueError):
