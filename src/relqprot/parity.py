@@ -4,8 +4,9 @@ A secret bit is the parity of N block values, each value replicated over a
 block of k channels and the N*k channels shuffled by a secret permutation.
 From the receiver's side the only strings that can occur are those whose
 popcount is a multiple of k, and their parity is popcount/k mod 2.  This
-module counts those strings exactly, evaluates the guessing formulas, and
-implements the optimal parity guesser from partial detector evidence.
+module counts those strings exactly, as sums of binomials C(N*k, l*k) over
+even and odd l, evaluates the guessing formulas, and implements the optimal
+parity guesser from partial detector evidence.
 """
 
 from __future__ import annotations
@@ -90,38 +91,21 @@ def count_block_strings(
     return even, odd
 
 
-def _cyclic_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * m
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % m] += ai * bj
-    return out
-
-
 def count_block_strings_closed(n_blocks: int, block_len: int) -> tuple[int, int]:
-    """Count block strings by an exact roots-of-unity filter.
+    """Count even- and odd-parity block strings exactly, N + 1 integer steps.
 
-    Reducing (1 + x)^(N*k) modulo x^(2k) - 1 with integer coefficients is the
-    character filter over the 2k-th roots of unity carried out exactly: the
-    residue-0 coefficient collects popcounts that are even multiples of k and
-    the residue-k coefficient the odd multiples.  No floating point is
-    involved, so the result is exact at any size.
+    S_even/odd sum C(N*k, l*k) over even/odd l.  Each term comes from the one
+    before it as C(n, j + k) = C(n, j) perm(n - j, k) // perm(j + k, k); the
+    division is exact since C(n, j) perm(n - j, k) = C(n, j + k) perm(j + k, k).
     """
     _validate_nk(n_blocks, block_len)
-    m = 2 * block_len
-    result = [1] + [0] * (m - 1)
-    base = [0] * m
-    base[0] += 1
-    base[1 % m] += 1
-    e = n_blocks * block_len
-    while e:
-        if e & 1:
-            result = _cyclic_mul(result, base, m)
-        base = _cyclic_mul(base, base, m)
-        e >>= 1
-    return result[0], result[block_len % m]
+    n, k = n_blocks * block_len, block_len
+    counts, term = [0, 0], 1
+    for level in range(n_blocks + 1):
+        counts[level % 2] += term
+        j = level * k
+        term = term * math.perm(n - j, k) // math.perm(j + k, k)
+    return counts[0], counts[1]
 
 
 def alpha(n_blocks: int, block_len: int) -> float:
@@ -145,10 +129,7 @@ def pc_parity_block_bound(n_blocks: int, block_len: int) -> float:
     measured optimal guesser can beat at small sizes (see the sweep report
     and README), so treat it as a reference curve rather than a guarantee.
     """
-    even, odd = count_block_strings_closed(n_blocks, block_len)
-    total = even + odd
-    term = 1.0 / total if total.bit_length() <= 1020 else 0.0
-    return 0.5 + term
+    return 0.5 + 1 / sum(count_block_strings_closed(n_blocks, block_len))
 
 
 def _half_binomial(n: int) -> np.ndarray:

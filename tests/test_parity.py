@@ -91,6 +91,27 @@ def test_large_closed_counts_stay_exact():
     assert even + odd == sum(comb(200, 5 * level) for level in range(41))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 257, 512])
+def test_pair_block_counts_match_their_closed_form(n):
+    """At k = 2, S_even/odd = 2^(2N-2) +/- 2^(N-1) Re(i^N)."""
+    real_i_power = (1, 0, -1, 0)[n % 4]
+    half = 2 ** (2 * n - 2)
+    swing = 2 ** (n - 1) * real_i_power
+    assert count_block_strings_closed(n, 2) == (half + swing, half - swing)
+
+
+@pytest.mark.parametrize("n,k", [(512, 8), (64, 32), (8, 512)])
+def test_counts_match_direct_binomial_sums_at_large_sizes(n, k):
+    even = sum(comb(n * k, level * k) for level in range(0, n + 1, 2))
+    odd = sum(comb(n * k, level * k) for level in range(1, n + 1, 2))
+    assert count_block_strings_closed(n, k) == (even, odd)
+
+
+@pytest.mark.parametrize("k", [1, 64, 4096])
+def test_one_block_has_one_string_of_each_parity(k):
+    assert count_block_strings_closed(1, k) == (1, 1)
+
+
 # --------------------------------------------------------------- closed forms
 
 
