@@ -410,8 +410,11 @@ def simulate(
         p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
         delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
         count = int(np.count_nonzero(delayed))
-        taus[delayed] = state.rear.ppf(rng.random(count))
-        outcomes[delayed] = np.where(rng.random(count) < p_pass, bits_a[delayed], PERP)
+        q, passed = rng.random(count), rng.random(count) < p_pass
+        # a passing state fired in the rear window: draw from the profile there
+        lo, hi = state.rear.cdf(state.rear.nominal_interval)
+        taus[delayed] = state.rear.ppf(np.where(passed, lo + q * (hi - lo), q))
+        outcomes[delayed] = np.where(passed, bits_a[delayed], PERP)
     ab = (taus, outcomes, bits_a, blocks_a)
     if mirror:  # the mirroring peer checks nothing
         code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)
@@ -457,11 +460,12 @@ def _event_key(event: Event):
 
 
 def _detect_events(config, taus, outcomes, actor, direction):
+    delay, horizon = config.channel_delay, config.full_access_horizon
     return [
-        Event(tau + config.channel_delay, actor, "detect",
+        Event(tau + delay, actor, "detect",
               {"channel": c, "outcome": _OUTCOME_TEXT[out], "tau": tau, "direction": direction})
         for c, (tau, out) in enumerate(zip(taus, outcomes))
-        if tau <= config.full_access_horizon
+        if tau <= horizon
     ]
 
 
@@ -653,12 +657,52 @@ def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
 
 
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_NUMBERS, _INF = (int, float), math.inf
+_ACTORS, _DIRECTIONS = ("A", "B"), ("A->B", "B->A")
+
+
+def _template_line(e: Event) -> str | None:
+    """An engine event's line from the template of its kind and payload keys,
+    byte-identical to the encoder's; None for any other event.  Values go in
+    as the repr of an exact int or a finite float, or from a known string set."""
+    p, t, kind = e.payload, e.t, e.kind
+    if not (type(p) is dict and type(t) in _NUMBERS and -_INF < t < _INF
+            and type(e.actor) is str and e.actor in _ACTORS and type(kind) is str):
+        return None
+    c, d, out, tau = p.get("channel"), p.get("direction"), p.get("outcome"), p.get("tau")
+    c_ok, d_ok, t_text = type(c) is int, type(d) is str and d in _DIRECTIONS, repr(t)
+    if (kind == "detect" and len(p) == 4 and c_ok and d_ok and type(out) is str
+            and out in _OUTCOME_TEXT and type(tau) in _NUMBERS and -_INF < tau < _INF):
+        # with no channel delay t == tau; 0.0 == -0.0 but is written apart
+        tau_text = t_text if tau == t and tau and type(tau) is type(t) else repr(tau)
+        body = f'"channel":{c},"direction":"{d}","outcome":"{out}","tau":{tau_text}'
+    elif kind == "emit" and len(p) == 2 and c_ok and type(p.get("delayed")) is bool:
+        body = f'"channel":{c},"delayed":{"true" if p["delayed"] else "false"}'
+    elif kind == "emit" and len(p) == 2 and c_ok and d_ok:
+        body = f'"channel":{c},"direction":"{d}"'
+    elif kind == "mirror" and len(p) == 1 and c_ok:
+        body = f'"channel":{c}'
+    elif kind == "disclose" and len(p) == 2 and type(p.get("phase")) is int \
+            and type(p.get("channels")) is list:
+        items = [f'{{"bit":{i["bit"]},"block":{i["block"]},"channel":{i["channel"]}}}'
+                 if type(i) is dict and len(i) == 3
+                 and type(i.get("bit")) is type(i.get("block")) is type(i.get("channel")) is int
+                 else None for i in p["channels"]]
+        if None in items:
+            return None
+        body = f'"channels":[{",".join(items)}],"phase":{p["phase"]}'
+    else:
+        return None
+    return f'{{"actor":"{e.actor}","kind":"{kind}","payload":{{{body}}},"t":{t_text}}}'
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
-    """Serialize a transcript as one stable JSON object per line."""
+    """Serialize a transcript as one stable JSON object per line.  Any event
+    no template covers goes through the general encoder, so the bytes (and
+    any error raised) are always the encoder's."""
     lines = [
-        _JSONL_ENCODER.encode({"t": e.t, "actor": e.actor, "kind": e.kind, "payload": e.payload})
+        _template_line(e)
+        or _JSONL_ENCODER.encode({"t": e.t, "actor": e.actor, "kind": e.kind, "payload": e.payload})
         for e in transcript.events
     ]
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from fractions import Fraction
@@ -5,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relqprot.experiment import _optimal_guesses
 from relqprot.protocol import (
@@ -27,7 +30,7 @@ from relqprot.protocol import (
     simulate,
     transcript_to_jsonl,
 )
-from relqprot.wavepacket import Window
+from relqprot.wavepacket import StretchedState, Window, delayed_overlap
 
 
 def config(n=2, k=2, **kwargs):
@@ -146,6 +149,22 @@ def test_delayed_block_detection_rate():
 def test_two_delayed_blocks_compound():
     batch = simulate(config(3, 1), 4000, np.random.default_rng(0), delayed_blocks={0, 2})
     assert within_3_sigma(batch.accepted, 0.25)
+
+
+@pytest.mark.parametrize("n, k, delayed, xi", [
+    (2, 1, {0}, 1.0), (2, 1, {0}, 2.0), (2, 1, {0}, 4.0), (3, 2, {0, 2}, 2.0),
+])
+def test_gaussian_delayed_state_passes_with_the_overlap_only(n, k, delayed, xi):
+    # A delayed state that passes the projector fired inside the rear window,
+    # so each delayed channel is charged p_pass once and each honest one
+    # completes w.p. 1 - e^-xi.  Drawing its coordinate from the whole rear
+    # profile charged the tail again (z = -30.6, -20.3 and -3.3 at (2, 1)).
+    cfg = config(n, k, tail_exponent=xi)
+    honest = StretchedState.create(cfg.width, cfg.separation, 0, xi)
+    p_pass = delayed_overlap(honest.rear, honest)
+    m = len(delayed)
+    batch = simulate(cfg, 200_000, 7, delayed_blocks=delayed)
+    assert within_3_sigma(batch.accepted, p_pass ** (m * k) * (1.0 - math.exp(-xi)) ** ((n - m) * k))
 
 
 def test_early_guess_single_state_identification():
@@ -474,3 +493,117 @@ def test_mirror_requires_the_coin_toss():
     with pytest.raises(ValueError, match="coin toss"):
         simulate(config(4, 2), 1000, 0, mirror=True)
     assert simulate(config(4, 2), 10, 0, coin_toss=True, mirror=True).ba is not None
+
+
+# ------------------------------------------------------------- serialization
+
+_ORACLE = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def oracle_jsonl(events):
+    """The plain per-line encoder the writer must match byte for byte."""
+    return "".join(
+        _ORACLE.encode({"t": e.t, "actor": e.actor, "kind": e.kind, "payload": e.payload}) + "\n"
+        for e in events
+    )
+
+
+def bytes_or_error(write, events):
+    try:
+        return write(events)
+    except Exception as exc:  # the writer must raise what the encoder raises
+        return type(exc)
+
+
+_RUNS = {
+    "bc_honest": lambda cfg, seed: run_bit_commitment(cfg, seed=seed),
+    "bc_delay_guess": lambda cfg, seed: run_bit_commitment(
+        cfg, DelayBlocks({0}), EarlyGuess(), seed=seed),
+    "ct_honest": lambda cfg, seed: run_coin_toss(cfg, seed=seed),
+    "ct_guess": lambda cfg, seed: run_coin_toss(cfg, strategy_b=EarlyGuess(), seed=seed),
+    "ct_sendback": lambda cfg, seed: run_coin_toss(cfg, strategy_b=SendBack(), seed=seed),
+    "ct_sendback_single_shot": lambda cfg, seed: run_coin_toss(
+        cfg, strategy_b=SendBack(), enforce_half_disclosure=False, seed=seed),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_writer_matches_the_reference_encoder_on_engine_transcripts(run):
+    for (n, k), xi, delay, seed in (
+        (size, xi, delay, seed)
+        for size in [(1, 1), (2, 2), (3, 2), (8, 8)]
+        for xi in [None, 1.0]
+        for delay in [0.0, 0.7, 0.9]
+        for seed in range(2)
+    ):
+        events = _RUNS[run](config(n, k, tail_exponent=xi, channel_delay=delay), seed).transcript.events
+        assert transcript_to_jsonl(Transcript(events)) == oracle_jsonl(events), (n, k, xi, delay, seed)
+
+
+def test_writer_matches_the_reference_encoder_on_integer_times():
+    # an int config value makes int event times, which the encoder writes bare
+    events = run_coin_toss(config(2, 2, channel_delay=1, disclosure_time=5),
+                           strategy_b=SendBack(), seed=3).transcript.events
+    assert any(type(e.t) is int for e in events)
+    assert transcript_to_jsonl(Transcript(events)) == oracle_jsonl(events)
+
+
+_ENGINE_EVENTS = (
+    Event(0.0, "A", "emit", {"channel": 0, "delayed": False}),
+    Event(0.0, "B", "emit", {"channel": 1, "direction": "B->A"}),
+    Event(0.7, "B", "mirror", {"channel": 2}),
+    Event(1.25, "B", "detect", {"channel": 3, "outcome": "ch1", "tau": 1.25, "direction": "A->B"}),
+    # -0.0 + 0.0 == 0.0: equal to its coordinate, but written differently
+    Event(0.0, "A", "detect", {"channel": 4, "outcome": "perp", "tau": -0.0, "direction": "B->A"}),
+    Event(5.0, "A", "disclose", {"phase": 1, "channels": [
+        {"channel": 0, "bit": 1, "block": 0}, {"channel": 1, "bit": 0, "block": 1}]}),
+)
+_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        True, False, None, np.int64(3), np.float64(0.25), math.nan, math.inf, -math.inf,
+        -0.0, 0, 2**70, [], (1,), {}, "", "é", 'a"b', "A\\B", "\u2028", "A", "B->A", "perp",
+    ]),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+)
+_KEYS = st.one_of(
+    st.sampled_from(["channel", "delayed", "direction", "outcome", "tau", "phase", "channels",
+                     "bit", "block", "extra"]),
+    st.text(max_size=3),
+    st.integers(-2, 2),
+)
+
+
+def mutate(record: dict, data) -> None:
+    """Set, add or drop one key of ``record``."""
+    key = data.draw(st.one_of(st.sampled_from(list(record)), _KEYS) if record else _KEYS)
+    if data.draw(st.booleans()):
+        record.pop(key, None)
+    else:
+        record[key] = data.draw(_ODD_VALUES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_writer_matches_the_reference_encoder_on_odd_events(data):
+    base = data.draw(st.sampled_from(_ENGINE_EVENTS))
+    fields = {"t": base.t, "actor": base.actor, "kind": base.kind,
+              "payload": copy.deepcopy(base.payload)}
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(["field", "payload", "item"]))
+        if target == "field":
+            name = data.draw(st.sampled_from(["t", "actor", "kind"]))
+            fields[name] = data.draw(st.one_of(_ODD_VALUES, st.sampled_from(
+                ["emit", "mirror", "detect", "disclose", "verdict", "early_guess"])))
+        elif target == "item" and isinstance(fields["payload"].get("channels"), list) \
+                and fields["payload"]["channels"]:
+            items = fields["payload"]["channels"]
+            item = items[data.draw(st.integers(0, len(items) - 1))]
+            if isinstance(item, dict):
+                mutate(item, data)
+        else:
+            mutate(fields["payload"], data)
+    events = [_ENGINE_EVENTS[0], Event(**fields)]
+    expected = bytes_or_error(oracle_jsonl, events)
+    assert bytes_or_error(lambda ev: transcript_to_jsonl(Transcript(ev)), events) == expected
