@@ -112,9 +112,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         for name in ("n_blocks", "block_len", "master_seed"):
             _integer(name, getattr(self, name))
+        # stored as float, so equal geometries give equal transcript bytes
         for name in ("width", "separation", "channel_delay", "tail_exponent", "disclosure_time"):
             if getattr(self, name) is not None or name not in ("tail_exponent", "disclosure_time"):
-                _real(name, getattr(self, name))
+                object.__setattr__(self, name, _real(name, getattr(self, name)))
         if self.n_blocks < 1 or self.block_len < 1:
             raise ValueError("n_blocks and block_len must be at least 1")
         self.make_state()  # the profile rules live with the geometry

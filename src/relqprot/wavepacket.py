@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
-from scipy.special import erfcinv, ndtr, ndtri
+from scipy.special import betaincinv, erfcinv, ndtr, ndtri
 
 __all__ = [
     "Waveform",
@@ -39,14 +39,6 @@ def _bump_cdf_std(u):
         + np.sin(4.0 * v) / 32.0
         + 3.0 * np.pi / 16.0
     )
-
-
-# Inverse-CDF sampling reads this table, uniform in u, with one np.interp.
-# The closed form is not monotone in floating point at the low edge, so the
-# table is made non-decreasing; at this density the CDF error of the lookup
-# stays below 4e-10.
-_BUMP_GRID = np.linspace(-1.0, 1.0, 65537)
-_BUMP_CDF_GRID = np.maximum.accumulate(_bump_cdf_std(_BUMP_GRID))
 
 
 @lru_cache(maxsize=None)
@@ -135,11 +127,31 @@ class Waveform:
         return float(self.cdf(hi) - self.cdf(lo))
 
     def ppf(self, q):
-        """Inverse of the cumulative mass, used for one-draw sampling."""
+        """Inverse of the cumulative mass, exact for both families."""
+        # a uniform draw can be exactly 0, which ndtri maps to -inf and
+        # betaincinv to nan
+        q = np.maximum(q, 1e-300)
         if self.is_compact:
-            return self.center + self.width * np.interp(q, _BUMP_CDF_GRID, _BUMP_GRID)
-        # a uniform draw can be exactly 0, which ndtri maps to -inf
-        return self.center + self.sigma * ndtri(np.maximum(q, 1e-300))
+            # with t = sin(pi u / 2), (1 + t) / 2 ~ Beta(5/2, 5/2)
+            t = 2.0 * betaincinv(2.5, 2.5, q) - 1.0
+            return self.center + self.width * (2.0 / np.pi) * np.arcsin(t)
+        return self.center + self.sigma * ndtri(q)
+
+    def sample(self, rng, size):
+        """Draw ``size`` coordinates from uniforms or standard normals alone.
+        A compact draw is t = sin(pi u / 2) ~ sqrt(1 - sqrt(U)) cos(2 pi V),
+        Ulrich's symmetric Beta(5/2, 5/2), made with at most two arrays of
+        ``size`` floats alive at once."""
+        if not self.is_compact:
+            return self.center + self.sigma * rng.standard_normal(size)
+        t = np.sqrt(1.0 - np.sqrt(rng.random(size)))
+        v = rng.random(size)
+        v *= 2.0 * np.pi
+        t *= np.cos(v, out=v)
+        np.arcsin(t, out=t)
+        t *= self.width * (2.0 / np.pi)
+        t += self.center
+        return t
 
     def translated(self, delta: float) -> "Waveform":
         return replace(self, center=self.center + delta)
@@ -225,10 +237,11 @@ class StretchedState:
 
     def sample_fire_time(self, rng, size):
         """Draw an array of outcome coordinates from the two-hump density: a
-        fair coin picks the hump, then one inverse-CDF draw places the outcome
+        fair coin picks the hump, then one profile draw places the outcome
         in it."""
         pick_rear = rng.random(size) < 0.5
-        return self.front.ppf(rng.random(size)) + self.separation * pick_rear
+        taus = self.front.sample(rng, size)
+        return np.add(taus, self.separation, out=taus, where=pick_rear)
 
 
 def _amplitude_parts(state) -> list[tuple[float, Waveform]]:

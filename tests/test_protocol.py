@@ -541,11 +541,25 @@ def test_writer_matches_the_reference_encoder_on_engine_transcripts(run):
 
 
 def test_writer_matches_the_reference_encoder_on_integer_times():
-    # an int config value makes int event times, which the encoder writes bare
-    events = run_coin_toss(config(2, 2, channel_delay=1, disclosure_time=5),
-                           strategy_b=SendBack(), seed=3).transcript.events
-    assert any(type(e.t) is int for e in events)
-    assert transcript_to_jsonl(Transcript(events)) == oracle_jsonl(events)
+    # a hand-built event may carry int times, which the encoder writes bare
+    events = [
+        Event(0, "A", "emit", {"channel": 0, "delayed": False}),
+        Event(1, "B", "mirror", {"channel": 0}),
+        Event(2, "A", "detect", {"channel": 0, "outcome": "ch1", "tau": 1, "direction": "B->A"}),
+        Event(5, "A", "disclose", {"phase": 1, "channels": [{"channel": 0, "bit": 1, "block": 0}]}),
+    ]
+    text = transcript_to_jsonl(Transcript(events))
+    assert text == oracle_jsonl(events) and '"t":5}' in text
+
+
+def test_configs_store_real_fields_as_float():
+    runs = [
+        run_coin_toss(config(2, 2, channel_delay=d, disclosure_time=t), strategy_b=SendBack(), seed=3)
+        for d, t in [(1.0, 5.0), (1, 5), (np.float64(1), np.int64(5))]
+    ]
+    assert all(type(e.t) is float for e in runs[1].transcript.events)
+    texts = {transcript_to_jsonl(run.transcript) for run in runs}
+    assert len(texts) == 1
 
 
 _ENGINE_EVENTS = (

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from relqprot.wavepacket import (
     StretchedState,
@@ -110,7 +111,41 @@ def test_ppf_inverts_cdf():
         u = wf.ppf(q)
         lo, hi = wf.support
         assert np.all((lo <= u) & (u <= hi)) and np.all(np.diff(u) >= 0)
-        assert np.max(np.abs(wf.cdf(u) - q)) < 1e-9
+        assert np.max(np.abs(wf.cdf(u) - q)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "wf",
+    [Waveform(1.0), Waveform(0.4, center=-2.5), Waveform(1.0, tail_exponent=2.0)],
+    ids=["bump", "narrow-shifted-bump", "gaussian"],
+)
+def test_sampler_matches_cdf(wf):
+    x = wf.sample(np.random.default_rng(2026), 1_000_000)
+    # 1.36e-3 is the 5% critical value of the KS distance at 1e6 draws
+    assert stats.kstest(x, wf.cdf).statistic < 1.36e-3
+    lo, hi = wf.support
+    assert lo <= x.min() and x.max() <= hi
+
+
+def test_bump_sampler_moments():
+    # t = sin(pi u / 2) has t^2 ~ Beta(1/2, 5/2): E t^2 = 1/6, E t^4 = 1/16
+    n = 1_000_000
+    s = np.sin(0.5 * np.pi * Waveform(1.0).sample(np.random.default_rng(7), n)) ** 2
+    for power, mean, second in [(1, 1 / 6, 1 / 16), (2, 1 / 16, 7 / 384)]:
+        sigma = math.sqrt((second - mean * mean) / n)
+        assert abs(np.mean(s**power) - mean) < 4 * sigma
+
+
+def test_fire_time_sampler_holds_at_most_two_float_arrays():
+    s = StretchedState.create(1.0, 8.0, bit=0)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        s.sample_fire_time(rng, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6  # two 8 MB float arrays and the 1 MB hump choice
 
 
 def test_sampled_fire_times_match_window_mass():
