@@ -283,8 +283,9 @@ def _delay_pass_probability(
     """Best verification-pass probability of a whole-block delayer.
 
     The most favorable delayed state is an exact copy of the rear hump, which
-    saturates the overlap bound; computing it once per geometry keeps runs
-    cheap.
+    saturates the overlap bound: exactly 1/2 for the compact bump and
+    1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2)) M_mid(W)]^2 for the Gaussian,
+    both from the closed-form ``delayed_overlap``, cached per geometry.
     """
     honest = StretchedState.create(width, separation, 0, tail_exponent)
     return delayed_overlap(honest.rear, honest)

@@ -12,13 +12,13 @@ statistics, which is why the family choice is free.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betaincinv, erfcinv, ndtr, ndtri
+from scipy.special import betaincinv, erfcinv, ndtr, ndtri, wofz
 
 __all__ = [
     "Waveform",
@@ -26,9 +26,6 @@ __all__ = [
     "Window",
     "delayed_overlap",
 ]
-
-_QUAD_KW = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
-
 
 def _bump_cdf_std(u):
     """Cumulative mass of the standardized raised-cosine bump on (-1, 1)."""
@@ -253,8 +250,45 @@ def _amplitude_parts(state) -> list[tuple[float, Waveform]]:
     raise TypeError(f"expected Waveform or StretchedState, got {type(state)!r}")
 
 
-def _intervals_overlap(a: tuple[float, float], b: tuple[float, float]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
+def _amplitude_terms(state) -> list[tuple[float, float, float, float, float, float]]:
+    """The amplitude of ``state`` as a sum of terms (c, k, q, m, lo, hi), each
+    c exp(i k (x - m) - q (x - m)^2) on its hump's support (lo, hi)."""
+    terms = []
+    for weight, hump in _amplitude_parts(state):
+        m, (lo, hi) = hump.center, hump.support
+        if hump.is_compact:
+            # sqrt(4/(3w)) (1 + cos(pi (x - m) / w)) / 2, the cosine split in two
+            c, k = weight / math.sqrt(3.0 * hump.width), math.pi / hump.width
+            terms += [(c, 0.0, 0.0, m, lo, hi), (c / 2, k, 0.0, m, lo, hi), (c / 2, -k, 0.0, m, lo, hi)]
+        else:
+            var = hump.sigma**2
+            terms.append((weight * (2.0 * math.pi * var) ** -0.25, 0.0, 0.25 / var, m, lo, hi))
+    return terms
+
+
+def _damped_erf(u: float, kappa: float) -> complex:
+    """exp(-kappa^2 / 4) erf(u - i kappa / 2) through the Faddeeva function
+    ``wofz``, finite where the complex erf overflows and the damping
+    underflows (a wide Gaussian against a narrow bump)."""
+    v = abs(u)
+    g = math.exp(-0.25 * kappa**2) - cmath.exp(complex(-v * v, kappa * v)) * wofz(complex(0.5 * kappa, v))
+    return g if u >= 0 else -g.conjugate()
+
+
+def _term_overlap(t1, t2, lo: float, hi: float) -> float:
+    """Integral over (lo, hi) of the real part of the product of two terms."""
+    (c1, k1, q1, m1), (c2, k2, q2, m2) = t1, t2
+    k, q = k1 + k2, q1 + q2
+    if q == 0.0:
+        # about the midpoint m the integral is a sinc, finite as k goes to 0
+        m, x = 0.5 * (lo + hi), 0.5 * k * (hi - lo)
+        sinc = math.sin(x) / x if x else 1.0
+        return c1 * c2 * math.cos(k1 * (m - m1) + k2 * (m - m2)) * (hi - lo) * sinc
+    # the Gaussian factors make one, centred at m with rate q
+    m, s = (q1 * m1 + q2 * m2) / q, math.sqrt(q)
+    scale = c1 * c2 * math.exp(-q1 * q2 / q * (m1 - m2) ** 2) * math.sqrt(math.pi) / (2.0 * s)
+    rise = _damped_erf(s * (hi - m), k / s) - _damped_erf(s * (lo - m), k / s)
+    return scale * (cmath.exp(1j * (k1 * (m - m1) + k2 * (m - m2))) * rise).real
 
 
 def delayed_overlap(delayed, honest: StretchedState) -> float:
@@ -263,27 +297,23 @@ def delayed_overlap(delayed, honest: StretchedState) -> float:
     ``delayed`` is the pure state a sender injects after postponing the
     choice (a single hump or a full two-hump state); ``honest`` is the agreed
     reference.  The value is the squared amplitude overlap with the reference
-    profile restricted to its nominal hump windows.  It cannot exceed 1/2 (up
-    to the Gaussian tail allowance) because the reference keeps half its mass
-    in the front hump that the delayed state is forbidden to cover.
+    profile restricted to its nominal hump windows, summed in closed form
+    term by term.  It cannot exceed 1/2 (up to the Gaussian tail allowance)
+    because the reference keeps half its mass in the front hump that the
+    delayed state is forbidden to cover.
     """
-    front_iv = honest.front.nominal_interval
-    parts_d = _amplitude_parts(delayed)
-    for _, hump in parts_d:
-        if _intervals_overlap(hump.nominal_interval, front_iv):
+    front_lo, front_hi = honest.front.nominal_interval
+    for _, hump in _amplitude_parts(delayed):
+        lo, hi = hump.nominal_interval
+        if lo < front_hi and front_lo < hi:
             raise ValueError("delayed state support covers the front hump")
 
-    parts_h = _amplitude_parts(honest)
-
-    def integrand(tau):
-        gd = sum(c * h.amplitude(tau) for c, h in parts_d)
-        gh = sum(c * h.amplitude(tau) for c, h in parts_h)
-        return gd * gh
-
+    terms_d, terms_h = _amplitude_terms(delayed), _amplitude_terms(honest)
     total = 0.0
     for win in honest.hump_windows():
-        lo = max(win.lo, min(h.support[0] for _, h in parts_d))
-        hi = min(win.hi, max(h.support[1] for _, h in parts_d))
-        if hi > lo:
-            total += integrate.quad(integrand, lo, hi, **_QUAD_KW)[0]
+        for *td, lo_d, hi_d in terms_d:
+            for *th, lo_h, hi_h in terms_h:
+                lo, hi = max(win.lo, lo_d, lo_h), min(win.hi, hi_d, hi_h)
+                if hi > lo:
+                    total += _term_overlap(td, th, lo, hi)
     return float(min(max(total * total, 0.0), 1.0))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,15 @@ def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert project["version"] == relqprot.__version__
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the overlap is in closed form; scipy.integrate (with scipy.optimize and
+    # scipy.sparse behind it) would add about a third to every cold start
+    src = str(Path(relqprot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import relqprot, sys; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_tracer_records_the_secret_sampler(monkeypatch):

@@ -23,6 +23,35 @@ def quad_mass(profile, lo, hi):
     return val
 
 
+def _parts(state):
+    if isinstance(state, Waveform):
+        return [(1.0, state)]
+    return [(1.0 / math.sqrt(2.0), state.front), (1.0 / math.sqrt(2.0), state.rear)]
+
+
+def quad_overlap(delayed, honest):
+    """Independent quadrature of the squared windowed amplitude overlap, the
+    oracle for ``delayed_overlap``; breaks at the hump centres keep a narrow
+    hump from falling between the quadrature nodes."""
+    parts_d, parts_h = _parts(delayed), _parts(honest)
+
+    def integrand(tau):
+        gd = sum(c * h.amplitude(tau) for c, h in parts_d)
+        gh = sum(c * h.amplitude(tau) for c, h in parts_h)
+        return gd * gh
+
+    total = 0.0
+    for win in honest.hump_windows():
+        lo = max(win.lo, min(h.support[0] for _, h in parts_d))
+        hi = min(win.hi, max(h.support[1] for _, h in parts_d))
+        if hi > lo:
+            points = [h.center for _, h in parts_d + parts_h if lo < h.center < hi] or None
+            total += integrate.quad(
+                integrand, lo, hi, points=points, epsabs=1e-13, epsrel=1e-13, limit=400
+            )[0]
+    return min(max(total * total, 0.0), 1.0)
+
+
 @pytest.mark.parametrize("width", [0.3, 1.0, 2.5])
 def test_compact_profile_normalized(width):
     w = Waveform(width)
@@ -162,7 +191,7 @@ def test_sampled_fire_times_match_window_mass():
 
 def test_delayed_overlap_rear_copy_is_half():
     s = StretchedState.create(1.0, 8.0, bit=0)
-    assert delayed_overlap(s.rear, s) == pytest.approx(0.5, abs=1e-9)
+    assert delayed_overlap(s.rear, s) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_delayed_overlap_outside_supports_is_zero():
@@ -200,6 +229,58 @@ def test_tailed_delayed_overlap_bound(xi):
     s = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=xi)
     val = delayed_overlap(s.rear, s)
     assert val <= 0.5 + math.exp(-xi)
+
+
+def _agreement_cases():
+    cases = []
+    for xi in (None, 0.5, 4.0, 30.0, 744.0):
+        for width, sep in ((1.0, 8.0), (1.0, 2.5), (1.5, 4.0)):
+            if xi is None and sep <= 2.0 * width:
+                continue
+            honest = StretchedState.create(width, sep, 0, xi)
+            cases.append(pytest.param(honest.rear, honest, id=f"rear-copy-xi{xi}-w{width}-S{sep}"))
+    bump, gauss = StretchedState.create(1.0, 8.0, 0), StretchedState.create(1.0, 8.0, 0, 2.0)
+    for name, delayed in [
+        ("bump-partial-right", Waveform(1.0, center=9.5)),
+        ("bump-partial-left", Waveform(2.0, center=6.0)),
+        ("bump-narrow", Waveform(0.4, center=7.7)),
+        ("bump-outside", Waveform(1.0, center=20.0)),
+        ("gauss-narrow-xi744", Waveform(0.1, center=8.3, tail_exponent=744.0)),
+        ("gauss-wide-xi0.5", Waveform(3.0, center=9.0, tail_exponent=0.5)),
+        ("two-hump-bump", StretchedState.create(0.5, 4.0, 0, translation=4.5)),
+        ("two-hump-gauss", StretchedState.create(0.5, 4.0, 0, 3.0, translation=4.5)),
+    ]:
+        cases.append(pytest.param(delayed, bump, id=f"{name}-vs-bump"))
+        cases.append(pytest.param(delayed, gauss, id=f"{name}-vs-gauss"))
+    # plain adaptive quadrature over the window (3.5, 8.5) misses this spike
+    spike = Waveform(0.1, center=5.0, tail_exponent=370.0)
+    cases.append(pytest.param(spike, StretchedState.create(2.5, 6.0, 0), id="spike-in-wide-bump"))
+    # the naive complex erf gives inf * 0 = nan for this wide Gaussian
+    wide = StretchedState.create(2.97, 13.88, 0, 0.3)
+    cases.append(pytest.param(Waveform(0.155, center=11.33), wide, id="narrow-bump-vs-wide-gauss"))
+    return cases
+
+
+@pytest.mark.parametrize("delayed, honest", _agreement_cases())
+def test_delayed_overlap_matches_quadrature(delayed, honest):
+    value = delayed_overlap(delayed, honest)
+    assert math.isfinite(value)
+    assert abs(value - quad_overlap(delayed, honest)) <= 1e-12
+
+
+@pytest.mark.parametrize("xi", [0.5, 2.0, 4.0, 8.0, 30.0, 700.0, 744.0])
+@pytest.mark.parametrize("width, sep", [(1.0, 8.0), (1.0, 2.5), (1.5, 4.0)])
+def test_gaussian_rear_copy_closed_form(xi, width, sep):
+    # the geometric mean of two shifted normal densities is the midpoint
+    # density times exp(-S^2 / (8 sigma^2)), so the rear copy passes with
+    # 1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2)) M_mid(W)]^2
+    s = StretchedState.create(width, sep, 0, xi)
+    mid = s.front.translated(0.5 * sep)
+    windows = s.hump_windows()
+    m_rear = sum(s.rear.mass(w.lo, w.hi) for w in windows)
+    m_mid = sum(mid.mass(w.lo, w.hi) for w in windows)
+    expected = 0.5 * (m_rear + math.exp(-(sep**2) / (8.0 * s.front.sigma**2)) * m_mid) ** 2
+    assert delayed_overlap(s.rear, s) == pytest.approx(expected, abs=1e-15)
 
 
 def test_validation_errors():
