@@ -72,4 +72,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

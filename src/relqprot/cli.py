@@ -93,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--disclosure-time", type=float)
     run.add_argument("--seed", dest="master_seed", type=int)
     run.add_argument("--strategy-a", choices=("honest", "delay"), default="honest")
-    run.add_argument("--delay-blocks", default="0",
-                     help="comma-separated block indices withheld by the sender")
+    run.add_argument("--delay-blocks",
+                     help="comma-separated block indices withheld under --strategy-a delay (0)")
     run.add_argument("--strategy-b", choices=tuple(_STRATEGIES_B), default="honest")
     run.add_argument("--no-half-disclosure", action="store_true",
                      help="coin toss only: disclose everything in one phase")
@@ -199,6 +199,8 @@ def _cmd_run(args) -> int:
     if args.verbose:
         print(f"config: {config}", file=sys.stderr)
 
+    if args.delay_blocks is not None and args.strategy_a != "delay":
+        raise ValueError("--delay-blocks applies to --strategy-a delay only")
     strategy_b = _STRATEGIES_B[args.strategy_b]
     if args.protocol == "bc":
         if args.strategy_b == "sendback":
@@ -207,7 +209,8 @@ def _cmd_run(args) -> int:
             raise ValueError("--no-half-disclosure applies to the coin toss only")
         strategy_a = HONEST
         if args.strategy_a == "delay":
-            strategy_a = DelayBlocks(_delay_blocks(args.delay_blocks))
+            blocks = "0" if args.delay_blocks is None else args.delay_blocks
+            strategy_a = DelayBlocks(_delay_blocks(blocks))
         result = run_bit_commitment(config, strategy_a, strategy_b)
     else:
         if args.strategy_a == "delay":

@@ -169,24 +169,44 @@ def _kernel_identification(config, options, trials, seed):
 
 
 def _optimal_guesses(n, k, ones, zeros):
-    """Per-trial optimal parity guess from fired ones and zeros, one law
-    evaluation per distinct pair; odd only if strictly heavier (ties to 0)."""
-    keys, inverse = np.unique(ones * (n * k + 1) + zeros, return_inverse=True)
-    weights = (_evidence_weights(n, k, *divmod(int(key), n * k + 1)) for key in keys)
-    return np.array([odd > even for even, odd in weights])[inverse]
+    """Per-trial optimal parity guess from fired ones and zeros, read from a table
+    filled only at the keys that occur; odd only if strictly heavier (ties to 0)."""
+    size = n * k + 1
+    keys = ones * size
+    keys += zeros
+    seen = np.flatnonzero(np.bincount(keys))
+    weights = (_evidence_weights(n, k, *divmod(int(key), size)) for key in seen)
+    table = np.zeros(size * size, dtype=bool)
+    table[seen] = [odd > even for even, odd in weights]
+    return table[keys]
+
+
+def _block_column(rng, k, trials):
+    """One block's value per trial, the low bit of k + 1 uniform bits drawn in words
+    of at most 63, and its fires, Bin(k, 1/2): the popcount of the other k bits."""
+    fires = np.zeros(trials, np.int64)
+    for width in [63] * (k // 63) + [k % 63 + 1]:
+        word = rng.integers(0, 1 << width, trials, dtype=np.min_scalar_type((1 << width) - 1))
+        fires += np.bitwise_count(word)
+    value = (word & 1).astype(bool)
+    fires -= value
+    return value, fires
 
 
 def _kernel_parity_guess(config, options, trials, seed):
     n, k = config.n_blocks, config.block_len
-    # Common random numbers: per-block value/fire draws are seeded by column
-    # only, so cells differing in n_blocks share their leading columns.
-    rngs = [np.random.default_rng((*seed[:2], k, col)) for col in range(n)]
-    values = np.array([rng.integers(0, 2, trials) for rng in rngs])
-    fired = np.array([rng.binomial(k, 0.5, trials) for rng in rngs])
-    ones = (values * fired).sum(axis=0)
-    guesses = _optimal_guesses(n, k, ones, fired.sum(axis=0) - ones)
-    successes = int(np.count_nonzero(guesses == values.sum(axis=0) % 2))
-    return successes, pc_parity_optimal(n, k)
+    ones, fired = np.zeros((2, trials), np.int64)
+    parity = np.zeros(trials, bool)
+    for col in range(n):
+        # Common random numbers: each block column draws from a stream seeded
+        # by column only, so cells differing in n_blocks share their leading columns.
+        value, fires = _block_column(np.random.default_rng((*seed[:2], k, col)), k, trials)
+        parity ^= value
+        ones += value * fires
+        fired += fires
+    fired -= ones  # now the fired zeros, without a further array
+    guesses = _optimal_guesses(n, k, ones, fired)
+    return int(np.count_nonzero(guesses == parity)), pc_parity_optimal(n, k)
 
 
 def _kernel_cheat_detection(config, options, trials, seed):

@@ -124,6 +124,27 @@ def test_run_bc_delay_large_block(tmp_path, capsys):
     assert "PERP_OUTCOME" in out
 
 
+def test_run_delay_blocks_needs_the_delay_strategy(tmp_path, capsys):
+    out_path = tmp_path / "t.jsonl"
+    for protocol in ("bc", "ct"):
+        code, out, err = run_cli(
+            ["run", protocol, "-N", "2", "-k", "2", "--delay-blocks", "1",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2 and out == "" and "--delay-blocks" in err
+    assert not out_path.exists()
+    # the delay strategy alone withholds block 0
+    paths = {blocks: tmp_path / f"{blocks}.jsonl" for blocks in ("default", "0", "1")}
+    for blocks, path in paths.items():
+        flags = [] if blocks == "default" else ["--delay-blocks", blocks]
+        run_cli(["run", "bc", "-N", "2", "-k", "2", "--seed", "3", "--strategy-a", "delay",
+                 *flags, "--out", str(path)], capsys)
+    assert paths["default"].read_bytes() == paths["0"].read_bytes()
+    assert paths["default"].read_bytes() != paths["1"].read_bytes()
+    assert '"delayed":true' in paths["default"].read_text()
+
+
 def test_run_bc_early_guess_line(tmp_path, capsys):
     code, out, _ = run_cli(
         [

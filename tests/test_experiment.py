@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from relqprot import experiment
 from relqprot.experiment import (
@@ -13,6 +15,7 @@ from relqprot.experiment import (
     wilson_interval,
 )
 from relqprot.parity import InconsistentEvidenceError, exact_parity_guesser
+from relqprot.protocol import ProtocolConfig
 
 
 def spec(scenario="identification", grid=None, trials=2000, master_seed=7):
@@ -223,6 +226,7 @@ def test_cheat_detection_rejects_bad_delayed_count():
         ("ct_honest", {"n_blocks": [2, 3], "block_len": 2}),
         ("ct_sendback", {"n_blocks": [2, 4], "block_len": 1, "half_disclosure": [True, False]}),
         ("tailed_completion", {"n_blocks": 2, "block_len": 2, "tail_exponent": [2.0, 4.0]}),
+        ("parity_guess", {"n_blocks": [2, 3], "block_len": [1, 4]}),
     ],
 )
 def test_protocol_sweeps_byte_identical_for_any_jobs(scenario, grid):
@@ -258,6 +262,44 @@ def test_kernel_guess_is_the_exact_guesser_at_every_pair():
                 assert guess == expected.guess, (n, k, a, b)
                 ties += expected.confidence == 0.5
     assert ties > 0  # a tie goes to 0 in both
+
+
+@pytest.mark.parametrize("k", [1, 4, 63, 64, 70])
+def test_block_draw_follows_the_exact_per_block_law(k):
+    # the value is a uniform bit and the fires Bin(k, 1/2) independent of it;
+    # k >= 63 takes more than one word
+    trials = 200_000
+    value, fires = experiment._block_column(np.random.default_rng(k), k, trials)
+    assert value.dtype == bool and fires.dtype == np.int64
+    assert 0 <= fires.min() and fires.max() <= k
+    observed = np.stack([np.bincount(fires[value == v], minlength=k + 1) for v in (0, 1)])
+    expected = np.outer([trials / 2] * 2, stats.binom.pmf(np.arange(k + 1), k, 0.5))
+    # pool the fire counts into bins of at least 20 expected draws per value
+    edges = [0]
+    for i in range(1, k + 1):
+        if expected[0, edges[-1]:i].sum() >= 20 and expected[0, i:].sum() >= 20:
+            edges.append(i)
+    observed, expected = (np.add.reduceat(a, edges, axis=1) for a in (observed, expected))
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(chi2, observed.size - 1) > 1e-4
+
+
+def test_parity_guess_kernel_peak_memory():
+    # per-trial accumulators only, no (N, trials) stacks
+    tracemalloc.start()
+    try:
+        experiment._kernel_parity_guess(ProtocolConfig(6, 1), {}, 10**6, (0, 2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48e6
+
+
+def test_parity_guess_cells_beyond_one_word_graded_against_exact_optimum():
+    cells = run_experiment(spec(scenario="parity_guess",
+                                grid={"n_blocks": [6, 8], "block_len": [64, 70]},
+                                trials=20_000))
+    assert all(c.mode == "two_sided" and c.passed for c in cells)
 
 
 def test_parity_guess_cells_graded_against_exact_optimum():
