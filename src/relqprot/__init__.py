@@ -27,7 +27,6 @@ from .measurement import (
 )
 from .parity import (
     DEFAULT_ENUM_BOUND,
-    EnumerationBoundError,
     InconsistentEvidenceError,
     ParityGuess,
     alpha,
@@ -57,7 +56,6 @@ from .protocol import (
     SendBack,
     Transcript,
     Verdict,
-    accessible_horizon,
     audit_transcript,
     mirror_guess_acceptance,
     run_bit_commitment,
@@ -72,4 +70,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -1,9 +1,7 @@
 """Command-line front end: closed forms, exact counts, single runs, sweeps.
 
 Exit codes: 0 success or accepted run, 2 usage error (including an
-unwritable output path), 3 enumeration bound exceeded, 4 aborted run, 5 sweep
-with at least one failing cell (1 is the generic failure code for a count
-verification mismatch).
+unwritable output path), 4 aborted run, 5 sweep with at least one failing cell.
 """
 
 from __future__ import annotations
@@ -20,10 +18,7 @@ from .experiment import (
     run_experiment,
 )
 from .parity import (
-    DEFAULT_ENUM_BOUND,
-    EnumerationBoundError,
     alpha,
-    count_block_strings,
     count_block_strings_closed,
     p_acc_fixed,
     p_fixed_block,
@@ -42,9 +37,7 @@ from .protocol import (
 )
 
 EXIT_OK = 0
-EXIT_FAILURE = 1
 EXIT_USAGE = 2
-EXIT_BOUND = 3
 EXIT_ABORTED = 4
 EXIT_SWEEP_FAILED = 5
 
@@ -75,9 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="count valid block strings exactly")
     count.add_argument("-N", "--blocks", type=_positive_int, required=True)
     count.add_argument("-k", "--block-len", type=_positive_int, required=True)
-    count.add_argument("--verify", action="store_true",
-                       help="cross-check the closed form against enumeration")
-    count.add_argument("--enum-bound", type=_positive_int, default=DEFAULT_ENUM_BOUND)
     count.set_defaults(func=_cmd_count)
 
     run = sub.add_parser("run", help="execute one protocol run")
@@ -152,15 +142,6 @@ def _cmd_count(args) -> int:
     n, k = args.blocks, args.block_len
     even, odd = count_block_strings_closed(n, k)
     print(f"S_even={even} S_odd={odd} total={even + odd} alpha={_fmt(alpha(n, k))}")
-    if args.verify:
-        enum_even, enum_odd = count_block_strings(n, k, enum_bound=args.enum_bound)
-        if (enum_even, enum_odd) != (even, odd):
-            print(
-                f"mismatch: enumeration found S_even={enum_even} S_odd={enum_odd}",
-                file=sys.stderr,
-            )
-            return EXIT_FAILURE
-        print("enumeration agrees")
     return EXIT_OK
 
 
@@ -189,9 +170,12 @@ def _build_config(args) -> ProtocolConfig:
 
 def _delay_blocks(text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        blocks = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ValueError("--delay-blocks must be comma-separated integers") from None
+    if not blocks:  # an empty list would run as an honest sender
+        raise ValueError("--delay-blocks names no block")
+    return blocks
 
 
 def _cmd_run(args) -> int:
@@ -258,9 +242,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EnumerationBoundError as exc:  # a ValueError, so it is caught first
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

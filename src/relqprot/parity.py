@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_ENUM_BOUND",
-    "EnumerationBoundError",
     "InconsistentEvidenceError",
     "ParityGuess",
     "block_string_parity",
@@ -37,14 +36,9 @@ __all__ = [
     "exact_parity_guesser",
 ]
 
+# The enumerator below is the tests' reference for the closed-form counter. It
+# and this bound stay in the package because bench/workloads.py reads both.
 DEFAULT_ENUM_BOUND = 20
-# Enumeration holds all 2^(N*k) strings at once (about 0.2 GB at 2^24), so no
-# bound lifts it past this ceiling.
-_ENUM_CEILING = 24
-
-
-class EnumerationBoundError(ValueError):
-    """Raised when an exhaustive enumeration would exceed the configured bound."""
 
 
 class InconsistentEvidenceError(ValueError):
@@ -66,21 +60,17 @@ def block_string_parity(bits: Sequence[int], block_len: int) -> int:
     return (ones // block_len) % 2
 
 
-def count_block_strings(
-    n_blocks: int, block_len: int, enum_bound: int = DEFAULT_ENUM_BOUND
-) -> tuple[int, int]:
+def count_block_strings(n_blocks: int, block_len: int) -> tuple[int, int]:
     """Exhaustively count even- and odd-parity block strings.
 
-    Walks all 2^(N*k) channel strings, so it is gated by ``enum_bound``, and
-    by a fixed ceiling of 2^24 whatever the bound; use the closed-form counter
-    beyond that.
+    Walks all 2^(N*k) channel strings, so N*k may not exceed
+    ``DEFAULT_ENUM_BOUND``; use the closed-form counter beyond that.
     """
     _validate_nk(n_blocks, block_len)
     n = n_blocks * block_len
-    bound = min(enum_bound, _ENUM_CEILING)
-    if n > bound:
-        raise EnumerationBoundError(
-            f"enumerating 2^{n} strings exceeds the bound of 2^{bound}"
+    if n > DEFAULT_ENUM_BOUND:
+        raise ValueError(
+            f"enumerating 2^{n} strings exceeds the bound of 2^{DEFAULT_ENUM_BOUND}"
         )
     states = np.arange(1 << n, dtype=np.uint64)
     pop = np.bitwise_count(states)

@@ -44,7 +44,6 @@ __all__ = [
     "Batch",
     "sample_secret",
     "simulate",
-    "accessible_horizon",
     "run_bit_commitment",
     "run_coin_toss",
     "mirror_guess_acceptance",
@@ -145,15 +144,6 @@ class ProtocolConfig:
     def make_state(self) -> StretchedState:
         """The agreed profile; the engine carries each channel's bit apart."""
         return StretchedState.create(self.width, self.separation, 0, self.tail_exponent)
-
-
-def accessible_horizon(config: ProtocolConfig, t: float) -> float:
-    """Light-cone horizon a receiver can reach at wall time ``t``.
-
-    Nothing of a state is accessible before its front edge has crossed the
-    channel, so the horizon trails the wall clock by the channel length.
-    """
-    return t - config.channel_delay
 
 
 @dataclass(frozen=True)

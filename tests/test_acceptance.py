@@ -80,7 +80,7 @@ def test_criterion_3_block_string_counting():
     mismatches = []
     pairs = [(n, k) for n in range(1, 21) for k in range(1, 21) if n * k <= 20]
     for n, k in pairs:
-        if count_block_strings_closed(n, k) != count_block_strings(n, k, enum_bound=20):
+        if count_block_strings_closed(n, k) != count_block_strings(n, k):
             mismatches.append((n, k))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 60.0

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -64,25 +65,18 @@ def test_count_basic(capsys):
     assert "S_even=1 S_odd=1 total=2 alpha=1" in out
 
 
-def test_count_verify_within_bound(capsys):
-    code, out, _ = run_cli(["count", "-N", "2", "-k", "3", "--verify"], capsys)
+def test_count_prints_only_the_closed_form(capsys):
+    code, out, _ = run_cli(["count", "-N", "10", "-k", "4"], capsys)
     assert code == 0
-    assert "enumeration agrees" in out
-
-
-def test_count_verify_over_bound(capsys):
-    code, out, err = run_cli(["count", "-N", "3", "-k", "7", "--verify"], capsys)
-    assert code == 3
-    assert "bound" in err
-    code, out, _ = run_cli(
-        ["count", "-N", "3", "-k", "7", "--verify", "--enum-bound", "21"], capsys
-    )
-    assert code == 0
-    # no bound lifts enumeration past its fixed ceiling of 2^24 strings
-    code, _, err = run_cli(
-        ["count", "-N", "10", "-k", "4", "--verify", "--enum-bound", "64"], capsys
-    )
-    assert code == 3 and "2^40 strings exceeds the bound of 2^24" in err
+    even = sum(math.comb(40, 4 * level) for level in range(0, 11, 2))
+    odd = sum(math.comb(40, 4 * level) for level in range(1, 11, 2))
+    assert out.startswith(f"S_even={even} S_odd={odd} total={even + odd} ")
+    assert len(out.splitlines()) == 1
+    for flags in (["--verify"], ["--enum-bound", "64"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "-N", "10", "-k", "4", *flags])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_run_bc_honest(tmp_path, capsys):
@@ -143,6 +137,19 @@ def test_run_delay_blocks_needs_the_delay_strategy(tmp_path, capsys):
     assert paths["default"].read_bytes() == paths["0"].read_bytes()
     assert paths["default"].read_bytes() != paths["1"].read_bytes()
     assert '"delayed":true' in paths["default"].read_text()
+
+
+@pytest.mark.parametrize("blocks", ["", ",", " , "])
+def test_run_rejects_an_empty_delay_block_list(blocks, tmp_path, capsys):
+    # an empty list would run as an honest sender under the delay strategy
+    out_path = tmp_path / "t.jsonl"
+    code, out, err = run_cli(
+        ["run", "bc", "-N", "2", "-k", "8", "--seed", "3", "--strategy-a", "delay",
+         "--delay-blocks", blocks, "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 2 and out == "" and "--delay-blocks" in err
+    assert not out_path.exists()
 
 
 def test_run_bc_early_guess_line(tmp_path, capsys):

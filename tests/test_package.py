@@ -18,6 +18,11 @@ def test_version_matches_pyproject():
     assert project["version"] == relqprot.__version__
 
 
+def test_removed_names_are_not_exported():
+    for name in ("EnumerationBoundError", "accessible_horizon"):
+        assert not hasattr(relqprot, name)
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # the overlap is in closed form; scipy.integrate (with scipy.optimize and
     # scipy.sparse behind it) would add about a third to every cold start

@@ -22,7 +22,6 @@ from relqprot.protocol import (
     SendBack,
     Transcript,
     _verify_announcement,
-    accessible_horizon,
     audit_transcript,
     mirror_guess_acceptance,
     run_bit_commitment,
@@ -99,16 +98,23 @@ def test_config_rejects_mistyped_fields(fields):
         ProtocolConfig(**{"n_blocks": 2, "block_len": 2, **fields})
 
 
-def test_accessible_horizon():
-    cfg = config(channel_delay=2.0)
-    assert accessible_horizon(cfg, 0.0) == -2.0
-    state = cfg.make_state()
-    # when the horizon reaches separation - width, exactly the front hump shows
-    t = cfg.channel_delay + cfg.separation - cfg.width
-    mass = state.window_mass(Window(-math.inf, accessible_horizon(cfg, t)))
+@pytest.mark.parametrize("channel_delay", [0.0, 2.0])
+def test_detections_trail_the_wall_clock_by_the_channel_delay(channel_delay):
+    cfg = config(3, 2, channel_delay=channel_delay)
+    results = [
+        run_bit_commitment(cfg, seed=4),
+        run_coin_toss(cfg, seed=4),
+        run_coin_toss(cfg, strategy_b=SendBack(), seed=4),
+    ]
+    for result in results:
+        detects = [e for e in result.transcript.events if e.kind == "detect"]
+        assert detects
+        for event in detects:
+            assert event.t - event.payload["tau"] == pytest.approx(channel_delay, abs=1e-12)
+    # at wall time delay + separation - width the receiver sees exactly the front hump
+    t = channel_delay + cfg.separation - cfg.width
+    mass = cfg.make_state().window_mass(Window(-math.inf, t - channel_delay))
     assert mass == pytest.approx(0.5, abs=1e-12)
-    t_full = cfg.channel_delay + cfg.separation + cfg.width
-    assert accessible_horizon(cfg, t_full) == cfg.full_access_horizon
 
 
 # ------------------------------------------------------------- bit commitment
