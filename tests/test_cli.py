@@ -72,11 +72,21 @@ def test_count_prints_only_the_closed_form(capsys):
     odd = sum(math.comb(40, 4 * level) for level in range(1, 11, 2))
     assert out.startswith(f"S_even={even} S_odd={odd} total={even + odd} ")
     assert len(out.splitlines()) == 1
-    for flags in (["--verify"], ["--enum-bound", "64"]):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "-N", "10", "-k", "4", *flags])
-        assert exc.value.code == 2
+    # the enumeration check is gone: an old --verify call is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "-N", "10", "-k", "4", "--verify"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_count_rejects_the_enum_bound_option(capsys):
+    # the enumerator keeps one fixed bound, so no option sets it
+    for flags in (["--enum-bound", "64"], ["--verify", "--enum-bound", "21"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "-N", "3", "-k", "7", *flags])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments" in err
 
 
 def test_run_bc_honest(tmp_path, capsys):
