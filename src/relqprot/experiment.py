@@ -25,12 +25,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .measurement import composite_error
-from .parity import _evidence_weights, pc_parity_optimal
+from .parity import _evidence_weights, _integer, pc_parity_optimal
 from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .protocol import (
     ProtocolConfig,
     _delay_pass_probability,
-    _integer,
     _real,
     mirror_guess_acceptance,
     simulate,
@@ -229,11 +228,9 @@ def _engine_successes(config, trials, seed, success, **options) -> int:
 
 
 def _kernel_bc(config, options, trials, seed):
-    """Honest commitment accepted with the committed bit: each channel passes
-    unless its outcome falls in the profile's tail mass (0 when compact)."""
-    successes = _engine_successes(
-        config, trials, seed, lambda b: b.accepted & (b.parity_a == b.committed)
-    )
+    """Honest commitment accepted, announcing the committed bit: each channel
+    passes unless its outcome falls in the profile's tail mass (0 if compact)."""
+    successes = _engine_successes(config, trials, seed, lambda b: b.accepted)
     return successes, (1.0 - config.make_state().front.tail_mass) ** config.n_channels
 
 

@@ -45,15 +45,24 @@ class InconsistentEvidenceError(ValueError):
     """Raised when no valid block string is consistent with the evidence."""
 
 
-def _validate_nk(n_blocks: int, block_len: int) -> None:
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be at least 1")
-    if block_len < 1:
-        raise ValueError("block_len must be at least 1")
+def _integer(name: str, value) -> int:
+    if type(value) is int:  # the rule for every count and index: int or numpy integer
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _validate_nk(n_blocks, block_len) -> tuple[int, int]:
+    n_blocks, block_len = _integer("n_blocks", n_blocks), _integer("block_len", block_len)
+    if n_blocks < 1 or block_len < 1:  # the one block-geometry rule
+        raise ValueError(f"{'n_blocks' if n_blocks < 1 else 'block_len'} must be at least 1")
+    return n_blocks, block_len
 
 
 def block_string_parity(bits: Sequence[int], block_len: int) -> int:
     """Parity encoded by a full channel string; rejects non-block strings."""
+    _, block_len = _validate_nk(1, block_len)
     ones = sum(bits)
     if ones % block_len:
         raise ValueError("popcount is not a multiple of the block length")
@@ -66,7 +75,7 @@ def count_block_strings(n_blocks: int, block_len: int) -> tuple[int, int]:
     Walks all 2^(N*k) channel strings, so N*k may not exceed
     ``DEFAULT_ENUM_BOUND``; use the closed-form counter beyond that.
     """
-    _validate_nk(n_blocks, block_len)
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     n = n_blocks * block_len
     if n > DEFAULT_ENUM_BOUND:
         raise ValueError(
@@ -88,7 +97,7 @@ def count_block_strings_closed(n_blocks: int, block_len: int) -> tuple[int, int]
     before it as C(n, j + k) = C(n, j) perm(n - j, k) // perm(j + k, k); the
     division is exact since C(n, j) perm(n - j, k) = C(n, j + k) perm(j + k, k).
     """
-    _validate_nk(n_blocks, block_len)
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     n, k = n_blocks * block_len, block_len
     counts, term = [0, 0], 1
     for level in range(n_blocks + 1):
@@ -106,7 +115,7 @@ def alpha(n_blocks: int, block_len: int) -> float:
 
 def pc_parity_plain(n_blocks: int) -> float:
     """Exact parity-guess success at half access with unit blocks (k = 1)."""
-    _validate_nk(n_blocks, 1)
+    n_blocks, _ = _validate_nk(n_blocks, 1)
     return 0.5 + 0.5 ** (n_blocks + 1)
 
 
@@ -127,7 +136,7 @@ def _half_binomial(n: int) -> np.ndarray:
     return np.array([comb(n, i) / (1 << n) for i in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so 2.0 or True misses and is checked
 def pc_parity_optimal(n_blocks: int, block_len: int) -> float:
     """Exact optimal parity-guess success from the count evidence at half access.
 
@@ -136,7 +145,7 @@ def pc_parity_optimal(n_blocks: int, block_len: int) -> float:
     names the heavier parity for each evidence pair (a, b), so the success
     sums max over parity of sum_l C(N,l) C(l k, a) C((N-l) k, b) / 2^(N + N k).
     """
-    _validate_nk(n_blocks, block_len)
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     n_channels = n_blocks * block_len
     weights = np.zeros((2, n_channels + 1, n_channels + 1))
     prior = _half_binomial(n_blocks)
@@ -149,13 +158,13 @@ def pc_parity_optimal(n_blocks: int, block_len: int) -> float:
 
 def p_fixed_block(block_len: int) -> float:
     """Per-block identification probability when block positions are public."""
-    _validate_nk(1, block_len)
+    _, block_len = _validate_nk(1, block_len)
     return 1.0 - 0.5 ** block_len
 
 
 def p_acc_fixed(n_blocks: int, block_len: int) -> float:
     """Full-string identification probability with public block positions."""
-    _validate_nk(n_blocks, block_len)
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     return p_fixed_block(block_len) ** n_blocks
 
 
@@ -171,7 +180,7 @@ def _evidence_weights(n_blocks: int, block_len: int, ones: int, zeros: int) -> l
     return weights
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so 2.0 or True misses and is checked
 def parity_posterior(
     n_blocks: int, block_len: int, n_unfired: int, fired_ones: int
 ) -> tuple[Fraction, Fraction]:
@@ -183,8 +192,9 @@ def parity_posterior(
     which by the hypergeometric identity sums the sender-sampler weight
     C(N, l) / C(N*k, l*k) of every completion of the silent channels.
     """
-    _validate_nk(n_blocks, block_len)
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     n_channels = n_blocks * block_len
+    n_unfired, fired_ones = _integer("n_unfired", n_unfired), _integer("fired_ones", fired_ones)
     if not 0 <= n_unfired <= n_channels:
         raise ValueError("unfired count out of range")
     n_fired = n_channels - n_unfired
@@ -215,18 +225,16 @@ def exact_parity_guesser(
     deterministically toward 0 (ties are equally frequent for both secrets,
     so the break introduces no bias).
     """
-    _validate_nk(n_blocks, block_len)
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     n_channels = n_blocks * block_len
     fired_ones = 0
     for channel, bit in fired.items():
-        if not 0 <= channel < n_channels:
+        if not 0 <= _integer("channel", channel) < n_channels:
             raise ValueError(f"channel {channel} out of range")
-        if bit not in (0, 1):
+        if _integer("fired bit", bit) not in (0, 1):
             raise ValueError("fired values must be bits")
         fired_ones += bit
-    even, odd = parity_posterior(
-        n_blocks, block_len, n_channels - len(fired), fired_ones
-    )
+    even, odd = parity_posterior(n_blocks, block_len, n_channels - len(fired), fired_ones)
     total = even + odd
     if even >= odd:
         return ParityGuess(0, float(even / total))

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .parity import exact_parity_guesser
+from .parity import _integer, _validate_nk, exact_parity_guesser
 from .wavepacket import StretchedState, delayed_overlap
 
 __all__ = [
@@ -74,12 +74,6 @@ class AuditError(RuntimeError):
     """A transcript violated causality or the disclosure phase ordering."""
 
 
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _real(name: str, value) -> float:
     numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     if not numeric or not math.isfinite(value):
@@ -109,14 +103,12 @@ class ProtocolConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_blocks", "block_len", "master_seed"):
-            _integer(name, getattr(self, name))
+        _validate_nk(self.n_blocks, self.block_len)
+        _integer("master_seed", self.master_seed)
         # stored as float, so equal geometries give equal transcript bytes
         for name in ("width", "separation", "channel_delay", "tail_exponent", "disclosure_time"):
             if getattr(self, name) is not None or name not in ("tail_exponent", "disclosure_time"):
                 object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.n_blocks < 1 or self.block_len < 1:
-            raise ValueError("n_blocks and block_len must be at least 1")
         self.make_state()  # the profile rules live with the geometry
         if not 0 <= self.channel_delay < self.separation + 2 * self.width:
             raise ValueError("channel_delay must lie below the state extent")
@@ -163,7 +155,9 @@ class DelayBlocks:
     blocks: frozenset[int]
 
     def __init__(self, blocks: Iterable[int]) -> None:
-        object.__setattr__(self, "blocks", frozenset(int(b) for b in blocks))
+        object.__setattr__(self, "blocks", frozenset(_integer("blocks", b) for b in blocks))
+        if not self.blocks:  # delaying no block is the honest sender
+            raise ValueError("blocks names no block")
 
 
 @dataclass(frozen=True)
@@ -243,15 +237,14 @@ class Batch:
 
     ``code`` is the verdict code (0 accepts), ``channel`` the first failing
     channel (-1 when accepted), and ``by_b`` marks aborts B found in A's
-    direction.  ``committed`` is the parity of A's block values and
-    ``parity_a``/``parity_b`` those of the two announcements.  ``ab`` and
-    ``ba`` (coin toss only) hold (taus, outcome codes, bits, blocks) arrays.
+    direction.  ``parity_a``/``parity_b`` are the announced parities, the
+    first also A's committed bit.  ``ab`` and ``ba`` (coin toss only) hold
+    (taus, outcome codes, bits, blocks) arrays.
     """
 
     code: np.ndarray
     channel: np.ndarray
     by_b: np.ndarray
-    committed: np.ndarray
     parity_a: np.ndarray
     parity_b: np.ndarray | None
     ab: tuple
@@ -293,10 +286,6 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
     perm = np.argsort(rng.random((trials, config.n_channels)), axis=1)
     blocks = perm // config.block_len
     return values.sum(axis=1) % 2, blocks, values[np.arange(trials)[:, None], blocks]
-
-
-def _parity(config: ProtocolConfig, bits):
-    return bits.sum(axis=1) // config.block_len % 2
 
 
 def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
@@ -389,14 +378,16 @@ def simulate(
     """
     if mirror and not coin_toss:
         raise ValueError("a mirroring peer takes part in the coin toss only")
-    delayed_blocks = frozenset(delayed_blocks)
+    delayed_blocks = frozenset(_integer("delayed_blocks", b) for b in delayed_blocks)
+    if delayed_blocks and coin_toss:
+        raise ValueError("a delaying sender takes part in the bit commitment only")
     if any(not 0 <= b < config.n_blocks for b in delayed_blocks):
         raise ValueError("delayed block index out of range")
     rng = np.random.default_rng(rng)
     state = config.make_state()
-    committed, blocks_a, bits_a = sample_secret(config, trials, rng)
+    parity_a, blocks_a, bits_a = sample_secret(config, trials, rng)
     if coin_toss and not mirror:
-        _, blocks_b, bits_b = sample_secret(config, trials, rng)
+        parity_b, blocks_b, bits_b = sample_secret(config, trials, rng)
     taus, outcomes = _sample_outcomes(state, bits_a, rng)
     if delayed_blocks:
         p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
@@ -414,23 +405,23 @@ def simulate(
         code, channel = _verify_announcement(config, *ab)
     by_b = code != 0
     if not coin_toss:
-        return Batch(code, channel, by_b, committed, _parity(config, bits_a), None, ab)
+        return Batch(code, channel, by_b, parity_a, None, ab)
 
     if mirror:
         taus, outcomes = _sample_outcomes(state, bits_a, rng, shift=config.channel_delay)
-        bits_b, blocks_b = bits_a, blocks_a
+        bits_b, blocks_b, parity_b = bits_a, blocks_a, parity_a
         if staged:
             hidden = blocks_a >= (config.n_blocks + 1) // 2
             bits_b = bits_a.copy()
             bits_b[hidden] = rng.integers(0, 2, int(np.count_nonzero(hidden)))
             blocks_b = _mirror_plan(config, bits_b)
+            parity_b = bits_b.sum(axis=1) // config.block_len % 2  # made up, so from bits
     else:
         taus, outcomes = _sample_outcomes(state, bits_b, rng)
     ba = (taus, outcomes, bits_b, blocks_b)
     code_ba, channel_ba = _verify_announcement(config, *ba)
     code, channel = np.where(by_b, code, code_ba), np.where(by_b, channel, channel_ba)
-    parities = _parity(config, bits_a), _parity(config, bits_b)
-    return Batch(code, channel, by_b, committed, *parities, ab, ba)
+    return Batch(code, channel, by_b, parity_a, parity_b, ab, ba)
 
 
 # ---------------------------------------------------------------- rendering
@@ -509,7 +500,7 @@ def run_bit_commitment(
     delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
     seed = config.master_seed if seed is None else seed
     batch = simulate(config, 1, seed, delayed_blocks=delayed)
-    committed = int(batch.committed[0])
+    committed = int(batch.parity_a[0])
     taus, outcomes, bits, blocks = (a[0].tolist() for a in batch.ab)
     nk = config.n_channels
 
@@ -571,7 +562,7 @@ def run_coin_toss(
     events.extend(_detect_events(config, taus_ba, outcomes_ba, "A", "B->A"))
     early = None
     if isinstance(strategy_b, EarlyGuess):
-        early = _make_guess(config, taus_ab, outcomes_ab, int(batch.committed[0]), events)
+        early = _make_guess(config, taus_ab, outcomes_ab, int(batch.parity_a[0]), events)
 
     if enforce_half_disclosure:
         first_blocks = (config.n_blocks + 1) // 2
@@ -613,8 +604,7 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
     truth, so exactly one guess string passes whatever the truth is, and the
     acceptance is 2^-m for m guessed channels.
     """
-    if n_blocks < 1 or block_len < 1:
-        raise ValueError("n_blocks and block_len must be at least 1")
+    n_blocks, block_len = _validate_nk(n_blocks, block_len)
     return Fraction(1, 2 ** ((n_blocks // 2) * block_len))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -22,7 +23,13 @@ from relqprot.parity import (
     pc_parity_optimal,
     pc_parity_plain,
 )
-from relqprot.protocol import ProtocolConfig, sample_secret
+from relqprot.protocol import (
+    DelayBlocks,
+    ProtocolConfig,
+    mirror_guess_acceptance,
+    sample_secret,
+    simulate,
+)
 
 
 def pairs_up_to(total_bits):
@@ -327,3 +334,67 @@ def test_block_string_parity_rejects_invalid():
     with pytest.raises(ValueError):
         block_string_parity((1, 0, 0, 0), 2)
     assert block_string_parity((1, 1, 0, 0), 2) == 1
+
+
+# ----------------------------------------------------------- the integer rule
+
+# Every count and index the library takes: (label, argument name, a call with
+# the value in that argument's place and valid values elsewhere).
+_INTEGER_ARGUMENTS = [
+    ("count_block_strings", "n_blocks", lambda v: count_block_strings(v, 2)),
+    ("count_block_strings", "block_len", lambda v: count_block_strings(2, v)),
+    ("count_block_strings_closed", "n_blocks", lambda v: count_block_strings_closed(v, 2)),
+    ("count_block_strings_closed", "block_len", lambda v: count_block_strings_closed(2, v)),
+    ("alpha", "n_blocks", lambda v: alpha(v, 2)),
+    ("alpha", "block_len", lambda v: alpha(2, v)),
+    ("pc_parity_plain", "n_blocks", pc_parity_plain),
+    ("pc_parity_block_bound", "n_blocks", lambda v: pc_parity_block_bound(v, 2)),
+    ("pc_parity_block_bound", "block_len", lambda v: pc_parity_block_bound(2, v)),
+    ("pc_parity_optimal", "n_blocks", lambda v: pc_parity_optimal(v, 2)),
+    ("pc_parity_optimal", "block_len", lambda v: pc_parity_optimal(2, v)),
+    ("p_fixed_block", "block_len", p_fixed_block),
+    ("p_acc_fixed", "n_blocks", lambda v: p_acc_fixed(v, 2)),
+    ("p_acc_fixed", "block_len", lambda v: p_acc_fixed(2, v)),
+    ("parity_posterior", "n_blocks", lambda v: parity_posterior(v, 2, 2, 1)),
+    ("parity_posterior", "block_len", lambda v: parity_posterior(2, v, 2, 1)),
+    ("parity_posterior", "n_unfired", lambda v: parity_posterior(2, 2, v, 1)),
+    ("parity_posterior", "fired_ones", lambda v: parity_posterior(2, 2, 2, v)),
+    ("exact_parity_guesser", "n_blocks", lambda v: exact_parity_guesser({0: 1}, v, 2)),
+    ("exact_parity_guesser", "block_len", lambda v: exact_parity_guesser({0: 1}, 2, v)),
+    ("exact_parity_guesser", "channel", lambda v: exact_parity_guesser({v: 1}, 2, 2)),
+    ("mirror_guess_acceptance", "n_blocks", lambda v: mirror_guess_acceptance(v, 2)),
+    ("mirror_guess_acceptance", "block_len", lambda v: mirror_guess_acceptance(2, v)),
+    ("block_string_parity", "block_len", lambda v: block_string_parity((1, 1, 0, 0), v)),
+    ("DelayBlocks", "blocks", lambda v: DelayBlocks([v])),
+    ("ProtocolConfig", "n_blocks", lambda v: ProtocolConfig(v, 2)),
+    ("ProtocolConfig", "block_len", lambda v: ProtocolConfig(2, v)),
+    ("simulate", "delayed_blocks",
+     lambda v: simulate(ProtocolConfig(3, 1), 5, 0, delayed_blocks={v}).code.tolist()),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call", [pytest.param(name, call, id=f"{label}-{name}")
+                   for label, name, call in _INTEGER_ARGUMENTS])
+def test_every_count_and_index_is_an_integer(name, call):
+    for value in (True, 2.0, 2.5, "2"):
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+    assert call(np.int64(2)) == call(2)
+
+
+@pytest.mark.parametrize(
+    "call", [count_block_strings_closed, mirror_guess_acceptance, ProtocolConfig])
+def test_geometry_below_one_names_its_count(call):
+    with pytest.raises(ValueError, match="^n_blocks must be at least 1$"):
+        call(0, 2)
+    with pytest.raises(ValueError, match="^block_len must be at least 1$"):
+        call(2, -1)
+
+
+def test_guesser_bits_are_integers():
+    for bit in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="^fired bit must be an integer"):
+            exact_parity_guesser({0: bit}, 2, 2)
+    assert exact_parity_guesser({0: np.int64(1)}, 2, 2) == exact_parity_guesser({0: 1}, 2, 2)

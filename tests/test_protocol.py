@@ -26,6 +26,7 @@ from relqprot.protocol import (
     mirror_guess_acceptance,
     run_bit_commitment,
     run_coin_toss,
+    sample_secret,
     simulate,
     transcript_to_jsonl,
 )
@@ -44,6 +45,12 @@ def aborts(batch):
 def within_3_sigma(hits, ref):
     sigma = math.sqrt(ref * (1 - ref) / hits.size)
     return abs(np.mean(hits) - ref) <= 3 * sigma
+
+
+def secret_parity(cfg, trials, seed):
+    """A's secret parity per trial, drawn by ``sample_secret`` from a fresh
+    generator on ``seed``: ``simulate`` draws A's secret first."""
+    return sample_secret(cfg, trials, np.random.default_rng(seed))[0]
 
 
 def early_guesses(cfg, batch):
@@ -123,7 +130,7 @@ def test_detections_trail_the_wall_clock_by_the_channel_delay(channel_delay):
 def test_honest_commitment_always_accepted():
     batch = simulate(config(3, 2), 300, np.random.default_rng(0))
     assert batch.accepted.all()
-    assert np.array_equal(batch.parity_a, batch.committed)
+    assert np.array_equal(batch.parity_a, secret_parity(config(3, 2), 300, 0))
 
 
 def test_transcript_shape_and_determinism():
@@ -176,7 +183,7 @@ def test_gaussian_delayed_state_passes_with_the_overlap_only(n, k, delayed, xi):
 def test_early_guess_single_state_identification():
     cfg = ProtocolConfig(1, 1)
     batch = simulate(cfg, 6000, np.random.default_rng(0))
-    assert within_3_sigma(early_guesses(cfg, batch) == batch.committed, 0.75)
+    assert within_3_sigma(early_guesses(cfg, batch) == secret_parity(cfg, 6000, 0), 0.75)
 
 
 @pytest.mark.parametrize("run, coin_toss", [(run_bit_commitment, False), (run_coin_toss, True)])
@@ -188,7 +195,7 @@ def test_reported_early_guess_is_the_guess_on_the_engine_outcomes(run, coin_toss
         report = run(cfg, strategy_b=EarlyGuess(), seed=seed).early_guess
         batch = simulate(cfg, 1, seed, coin_toss=coin_toss)
         assert report.guess == early_guesses(cfg, batch)[0]
-        assert report.correct == (report.guess == batch.committed[0])
+        assert report.correct == (report.guess == secret_parity(cfg, 1, seed)[0])
 
 
 def test_early_guess_visible_channels_only():
@@ -265,7 +272,7 @@ def test_honest_coin_toss_accepts_and_is_fair():
     cfg = config(2, 2)
     batch = simulate(cfg, 3000, np.random.default_rng(0), coin_toss=True)
     assert batch.accepted.all()
-    assert np.array_equal(batch.parity_a, batch.committed)
+    assert np.array_equal(batch.parity_a, secret_parity(cfg, 3000, 0))
     assert within_3_sigma(batch.lot, 0.5)
     winners = set()
     for seed in range(10):  # a run names the winner of its lot
@@ -330,7 +337,7 @@ def test_ct_early_guess_reported():
     cfg = ProtocolConfig(4, 1)
     batch = simulate(cfg, 4000, np.random.default_rng(0), coin_toss=True)
     assert batch.accepted.all()
-    assert within_3_sigma(early_guesses(cfg, batch) == batch.committed, 0.5 + 2.0**-5)
+    assert within_3_sigma(early_guesses(cfg, batch) == secret_parity(cfg, 4000, 0), 0.5 + 2.0**-5)
 
 
 # -------------------------------------------------------------------- tailed
@@ -338,9 +345,10 @@ def test_ct_early_guess_reported():
 
 def test_tailed_honest_completion_rate():
     xi = 3.0
-    batch = simulate(config(2, 2, tail_exponent=xi), 4000, np.random.default_rng(0))
+    cfg = config(2, 2, tail_exponent=xi)
+    batch = simulate(cfg, 4000, np.random.default_rng(0))
     accepted = batch.accepted
-    assert np.array_equal(batch.parity_a[accepted], batch.committed[accepted])
+    assert np.array_equal(batch.parity_a[accepted], secret_parity(cfg, 4000, 0)[accepted])
     assert within_3_sigma(accepted, (1.0 - math.exp(-xi)) ** 4)
     # both tail failure modes occur at this rate
     assert aborts(batch) == {AbortReason.PERP_OUTCOME, AbortReason.SILENT_AT_FULL_ACCESS}
@@ -469,7 +477,7 @@ def test_batched_trials_match_single_runs_in_distribution():
     aborted = batch.code[~batch.accepted]
     assert set(aborted.tolist()) == {list(AbortReason).index(AbortReason.PERP_OUTCOME) + 1}
     accepted = batch.accepted
-    assert np.array_equal(batch.parity_a[accepted], batch.committed[accepted])
+    assert np.array_equal(batch.parity_a[accepted], secret_parity(cfg, 4000, 8)[accepted])
 
 
 def test_mirror_arrival_time_follows_the_round_trip():
@@ -499,6 +507,21 @@ def test_mirror_requires_the_coin_toss():
     with pytest.raises(ValueError, match="coin toss"):
         simulate(config(4, 2), 1000, 0, mirror=True)
     assert simulate(config(4, 2), 10, 0, coin_toss=True, mirror=True).ba is not None
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_delaying_sender_requires_the_bit_commitment(mirror):
+    # no protocol here defines a delaying coin-toss initiator
+    with pytest.raises(ValueError, match="bit commitment"):
+        simulate(config(2, 2), 3, 0, coin_toss=True, mirror=mirror, delayed_blocks={0})
+
+
+def test_delay_blocks_names_at_least_one_block():
+    # delaying no block would be the honest sender under another name
+    for blocks in ([], (), set()):
+        with pytest.raises(ValueError, match="^blocks names no block$"):
+            DelayBlocks(blocks)
+    assert DelayBlocks([1, np.int64(1), 0]).blocks == frozenset({0, 1})
 
 
 # ------------------------------------------------------------- serialization
