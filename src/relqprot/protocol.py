@@ -266,7 +266,8 @@ def _delay_pass_probability(
     """Best verification-pass probability of a whole-block delayer.
 
     The most favorable delayed state is an exact copy of the rear hump, which
-    saturates the overlap bound: exactly 1/2 for the compact bump and
+    saturates the overlap bound: 1/2 for the compact bump, returned as
+    0.5000000000000001 (one ulp above, rounding in the overlap sum), and
     1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2)) M_mid(W)]^2 for the Gaussian,
     both from the closed-form ``delayed_overlap``, cached per geometry.
     """
@@ -311,6 +312,11 @@ def _mirror_plan(config: ProtocolConfig, bits):
     return np.where(ones[:, -1:] % k == 0, plan, np.arange(config.n_channels) // k)
 
 
+def _phase_one_blocks(config: ProtocolConfig) -> int:
+    """Blocks in phase 1 of a staged coin toss, the first ceil(N/2); a mirror guesses the rest."""
+    return (config.n_blocks + 1) // 2
+
+
 def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
     """Full-access verification of one direction, per trial.
 
@@ -321,7 +327,7 @@ def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
     channels) and per-block uniformity, in block order.  Block ids must lie
     in [0, n_blocks).  Returns (verdict code, failing channel) arrays.
     """
-    trials, nk = bits.shape
+    trials = len(bits)
     n, k = config.n_blocks, config.block_len
     rows = np.arange(trials)
     reason = np.where(
@@ -346,13 +352,12 @@ def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
     mixed = (ones != 0) & (ones != counts)
     if mixed.any():
         failed = (code == 0) & mixed.any(axis=1)
-        # every block of a row still open holds exactly k channels, so sorting
-        # by (block, channel) lays its blocks out as consecutive runs of k
-        order = np.argsort(blocks * nk + np.arange(nk), axis=1)
-        grouped = bits[rows[:, None], order].reshape(trials, n, k)
-        differs = (grouped != grouped[:, :, :1]).reshape(trials, nk)
+        # the first mixed block fails at its first channel whose bit differs
+        # from the bit of the block's first channel
+        in_block = blocks == mixed.argmax(axis=1)[:, None]
+        lead = bits[rows, in_block.argmax(axis=1)][:, None]
         code[failed] = _CODE[AbortReason.BLOCK_MISMATCH]
-        channel[failed] = order[rows, differs.argmax(axis=1)][failed]
+        channel[failed] = (in_block & (bits != lead)).argmax(axis=1)[failed]
     return code, channel
 
 
@@ -411,7 +416,7 @@ def simulate(
         taus, outcomes = _sample_outcomes(state, bits_a, rng, shift=config.channel_delay)
         bits_b, blocks_b, parity_b = bits_a, blocks_a, parity_a
         if staged:
-            hidden = blocks_a >= (config.n_blocks + 1) // 2
+            hidden = blocks_a >= _phase_one_blocks(config)
             bits_b = bits_a.copy()
             bits_b[hidden] = rng.integers(0, 2, int(np.count_nonzero(hidden)))
             blocks_b = _mirror_plan(config, bits_b)
@@ -442,42 +447,55 @@ def _event_key(event: Event):
     return (event.t, _KIND_ORDER.get(event.kind, 9), sub)
 
 
-def _detect_events(config, taus, outcomes, actor, direction):
-    delay, horizon = config.channel_delay, config.full_access_horizon
-    return [
-        Event(tau + delay, actor, "detect",
-              {"channel": c, "outcome": _OUTCOME_TEXT[out], "tau": tau, "direction": direction})
-        for c, (tau, out) in enumerate(zip(taus, outcomes))
-        if tau <= horizon
-    ]
-
-
-def _make_guess(config, taus, outcomes, committed_bit, events):
-    """Receiver B's optimal guess from the A->B outcomes fired by tau_d."""
-    visible = {
-        c: out for c, (tau, out) in enumerate(zip(taus, outcomes)) if tau <= config.tau_d and out != PERP
-    }
-    guess = exact_parity_guesser(visible, config.n_blocks, config.block_len)
-    payload = {"fired": {str(c): b for c, b in visible.items()}, "direction": "A->B",
-               "guess": guess.guess, "confidence": guess.confidence}
-    events.append(Event(config.tau_d + config.channel_delay, "B", "early_guess", payload))
-    return EarlyGuessReport(
-        guess.guess, guess.confidence, committed_bit, guess.guess == committed_bit
-    )
-
-
-def _disclose(config, events, actor, phase, bits, blocks, channels) -> None:
-    items = [{"channel": c, "bit": bits[c], "block": blocks[c]} for c in channels]
-    t_d = config.tau_d + config.channel_delay
-    events.append(Event(t_d, actor, "disclose", {"phase": phase, "channels": items}))
-
-
 def _verdict(batch: Batch, bit) -> Verdict:
     """Trial 0's verdict; ``bit`` is what an acceptance announces."""
     code = int(batch.code[0])
     if code == 0:
         return Verdict(True, bit=int(bit[0]))
     return Verdict(False, channel=int(batch.channel[0]), reason=_REASONS[code - 1])
+
+
+def _render(config, batch, events, phases, early_guess, verdict_actor, verdict_payload):
+    """Trial 0 of ``batch`` as an audited transcript, with B's early guess.
+
+    ``events`` are the protocol's own t = 0 events.  To them go, for each
+    direction the batch holds, the detections up to full access; B's guess
+    on the A->B outcomes fired by tau_d, if ``early_guess``; one disclosure
+    per ``phases`` entry (actor, direction, channels), numbered from 1, at
+    tau_d; and the verdict at full access.
+    """
+    delay, horizon, t_d = config.channel_delay, config.full_access_horizon, config.tau_d
+    rows = {}
+    for direction, receiver, arrays in (("A->B", "B", batch.ab), ("B->A", "A", batch.ba)):
+        if arrays is None:
+            continue
+        taus, outcomes, _, _ = rows[direction] = [a[0].tolist() for a in arrays]
+        events += [
+            Event(tau + delay, receiver, "detect",
+                  {"channel": c, "outcome": _OUTCOME_TEXT[out], "tau": tau, "direction": direction})
+            for c, (tau, out) in enumerate(zip(taus, outcomes))
+            if tau <= horizon
+        ]
+    report = None
+    if early_guess:
+        taus, outcomes, _, _ = rows["A->B"]
+        visible = {
+            c: out for c, (tau, out) in enumerate(zip(taus, outcomes)) if tau <= t_d and out != PERP
+        }
+        guess = exact_parity_guesser(visible, config.n_blocks, config.block_len)
+        payload = {"fired": {str(c): b for c, b in visible.items()}, "direction": "A->B",
+                   "guess": guess.guess, "confidence": guess.confidence}
+        events.append(Event(t_d + delay, "B", "early_guess", payload))
+        secret = int(batch.parity_a[0])
+        report = EarlyGuessReport(guess.guess, guess.confidence, secret, guess.guess == secret)
+    for phase, (actor, direction, channels) in enumerate(phases, 1):
+        _, _, bits, blocks = rows[direction]
+        items = [{"channel": c, "bit": bits[c], "block": blocks[c]} for c in channels]
+        events.append(Event(t_d + delay, actor, "disclose", {"phase": phase, "channels": items}))
+    events.append(Event(horizon + delay, verdict_actor, "verdict", verdict_payload))
+    transcript = Transcript(sorted(events, key=_event_key))
+    audit_transcript(transcript, config)
+    return transcript, report
 
 
 def run_bit_commitment(
@@ -500,27 +518,14 @@ def run_bit_commitment(
     delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
     seed = config.master_seed if seed is None else seed
     batch = simulate(config, 1, seed, delayed_blocks=delayed)
-    committed = int(batch.parity_a[0])
-    taus, outcomes, bits, blocks = (a[0].tolist() for a in batch.ab)
-    nk = config.n_channels
-
-    events = [
-        Event(0.0, "A", "emit", {"channel": c, "delayed": blocks[c] in delayed})
-        for c in range(nk)
-    ]
-    events.extend(_detect_events(config, taus, outcomes, "B", "A->B"))
-    early = None
-    if isinstance(strategy_b, EarlyGuess):
-        early = _make_guess(config, taus, outcomes, committed, events)
-    _disclose(config, events, "A", 1, bits, blocks, range(nk))
+    events = [Event(0.0, "A", "emit", {"channel": c, "delayed": b in delayed})
+              for c, b in enumerate(batch.ab[3][0].tolist())]
+    phases = [("A", "A->B", range(config.n_channels))]
 
     verdict = _verdict(batch, batch.parity_a)
-    t_verify = config.full_access_horizon + config.channel_delay
-    events.append(Event(t_verify, "B", "verdict", {"verdict": verdict.code()}))
-
-    transcript = Transcript(sorted(events, key=_event_key))
-    audit_transcript(transcript, config)
-    return BitCommitmentResult(transcript, verdict, committed, early)
+    transcript, early = _render(config, batch, events, phases, isinstance(strategy_b, EarlyGuess),
+                                "B", {"verdict": verdict.code()})
+    return BitCommitmentResult(transcript, verdict, int(batch.parity_a[0]), early)
 
 
 def run_coin_toss(
@@ -546,10 +551,7 @@ def run_coin_toss(
     batch = simulate(
         config, 1, seed, coin_toss=True, mirror=mirror, staged=enforce_half_disclosure
     )
-    taus_ab, outcomes_ab, bits_a, blocks_a = (a[0].tolist() for a in batch.ab)
-    taus_ba, outcomes_ba, bits_b, blocks_b = (a[0].tolist() for a in batch.ba)
     nk = config.n_channels
-
     events = [
         Event(0.0, "A", "emit", {"channel": c, "direction": "A->B"}) for c in range(nk)
     ]
@@ -558,41 +560,24 @@ def run_coin_toss(
         else Event(0.0, "B", "emit", {"channel": c, "direction": "B->A"})
         for c in range(nk)
     )
-    events.extend(_detect_events(config, taus_ab, outcomes_ab, "B", "A->B"))
-    events.extend(_detect_events(config, taus_ba, outcomes_ba, "A", "B->A"))
-    early = None
-    if isinstance(strategy_b, EarlyGuess):
-        early = _make_guess(config, taus_ab, outcomes_ab, int(batch.parity_a[0]), events)
-
+    phases = (("A", "A->B", range(nk)), ("B", "B->A", range(nk)))
     if enforce_half_disclosure:
-        first_blocks = (config.n_blocks + 1) // 2
-        s_a = [c for c in range(nk) if blocks_a[c] < first_blocks]
-        comp = [c for c in range(nk) if blocks_a[c] >= first_blocks]
-        _disclose(config, events, "A", 1, bits_a, blocks_a, s_a)
-        _disclose(config, events, "B", 2, bits_b, blocks_b, comp)
-        _disclose(config, events, "A", 3, bits_a, blocks_a, comp)
-        _disclose(config, events, "B", 4, bits_b, blocks_b, s_a)
-    else:
-        _disclose(config, events, "A", 1, bits_a, blocks_a, range(nk))
-        _disclose(config, events, "B", 2, bits_b, blocks_b, range(nk))
+        half, blocks_a = _phase_one_blocks(config), batch.ab[3][0].tolist()
+        first = [c for c in range(nk) if blocks_a[c] < half]
+        rest = [c for c in range(nk) if blocks_a[c] >= half]
+        phases = (("A", "A->B", first), ("B", "B->A", rest),
+                  ("A", "A->B", rest), ("B", "B->A", first))
 
-    lot = winner = parity_a = parity_b = failed_by = None
     verdict = _verdict(batch, batch.lot)
+    actor, payload = "B" if batch.by_b[0] else "A", {"verdict": verdict.code()}
+    lot = winner = parity_a = parity_b = None
     if verdict.accepted:
         parity_a, parity_b, lot = int(batch.parity_a[0]), int(batch.parity_b[0]), verdict.bit
-        winner = "A" if lot == 0 else "B"
+        winner = payload["winner"] = "A" if lot == 0 else "B"
     else:
-        failed_by = "B" if batch.by_b[0] else "A"
-    t_verify = config.full_access_horizon + config.channel_delay
-    payload = {"verdict": verdict.code()}
-    if failed_by:
-        payload["by"] = failed_by
-    if winner:
-        payload["winner"] = winner
-    events.append(Event(t_verify, failed_by or "A", "verdict", payload))
-
-    transcript = Transcript(sorted(events, key=_event_key))
-    audit_transcript(transcript, config)
+        payload["by"] = actor
+    transcript, early = _render(config, batch, events, phases, isinstance(strategy_b, EarlyGuess),
+                                actor, payload)
     return CoinTossResult(transcript, verdict, lot, winner, parity_a, parity_b, early)
 
 

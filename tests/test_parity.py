@@ -277,6 +277,13 @@ def test_guesser_input_validation():
         exact_parity_guesser({0: 2}, 2, 2)
 
 
+def test_posterior_rejects_counts_out_of_range():
+    with pytest.raises(ValueError, match="unfired count out of range"):
+        parity_posterior(2, 2, 5, 0)
+    with pytest.raises(ValueError, match="fired ones count out of range"):
+        parity_posterior(2, 2, 2, 3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_guess_success_matches_plain_formula(n):
     rng = np.random.default_rng(100 + n)

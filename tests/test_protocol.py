@@ -297,6 +297,19 @@ def test_ct_half_disclosure_phases_are_ordered():
     assert idx1 | idx2 == set(range(cfg.n_channels))
 
 
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_staged_mirror_copies_exactly_phase_one(n, k):
+    # the mirror guesses blind only the channels phase 1 leaves undisclosed,
+    # so what B discloses on phase 1's channels is A's phase-1 disclosure
+    for seed in range(50):
+        res = run_coin_toss(ProtocolConfig(n, k), strategy_b=SendBack(), seed=seed)
+        disclosed = {e.payload["phase"]: e.payload["channels"]
+                     for e in res.transcript.events if e.kind == "disclose"}
+        bits_a = [(i["channel"], i["bit"]) for i in disclosed[1]]
+        bits_b = [(i["channel"], i["bit"]) for i in disclosed[4]]
+        assert bits_b == bits_a, seed
+
+
 def test_send_back_full_disclosure_forces_zero_lot():
     batch = simulate(
         config(2, 2), 500, np.random.default_rng(0), coin_toss=True, mirror=True, staged=False
@@ -374,6 +387,35 @@ def test_audit_rejects_acausal_guess():
         audit_transcript(transcript, cfg)
 
 
+def test_audit_rejects_a_guess_that_misquotes_the_log():
+    cfg = config(2, 1)
+    res = run_bit_commitment(cfg, strategy_b=EarlyGuess(), seed=1)
+    events = list(res.transcript.events)
+    guess = next(e for e in events if e.kind == "early_guess")
+    assert guess.payload["fired"], "need a cited detection for this check"
+    channel, bit = next(iter(guess.payload["fired"].items()))
+    fired = {**guess.payload["fired"], channel: 1 - bit}  # fired before the guess
+    tampered = Event(guess.t, guess.actor, guess.kind, {**guess.payload, "fired": fired})
+    transcript = Transcript([tampered if e is guess else e for e in events])
+    with pytest.raises(AuditError, match="inconsistent with the log"):
+        audit_transcript(transcript, cfg)
+
+
+def test_audit_rejects_disclosure_phases_out_of_order():
+    cfg = config(3, 2)
+    res = run_coin_toss(cfg, seed=3)
+    swap = {1: 2, 2: 1}
+
+    def renumbered(e):
+        if e.kind != "disclose" or e.payload["phase"] not in swap:
+            return e
+        return Event(e.t, e.actor, e.kind, {**e.payload, "phase": swap[e.payload["phase"]]})
+
+    audit_transcript(res.transcript, cfg)
+    with pytest.raises(AuditError, match="phases out of order"):
+        audit_transcript(Transcript([renumbered(e) for e in res.transcript.events]), cfg)
+
+
 def test_audit_rejects_disordered_events():
     cfg = config(2, 1)
     res = run_bit_commitment(cfg, seed=2)
@@ -408,8 +450,8 @@ def _verdict_code(batch):
 
 def test_verification_reports_the_first_failing_channel():
     cfg = config(2, 2)  # full access at tau = 9
-    bits = np.array([[0, 1, 1, 0]] * 7)
-    blocks = np.array([[0, 1, 1, 0]] * 7)
+    bits = np.array([[0, 1, 1, 0]] * 8)
+    blocks = np.array([[0, 1, 1, 0]] * 8)
     outcomes = bits.copy()
     taus = np.zeros(bits.shape)
     outcomes[1, 2] = 1 - bits[1, 2]  # wrong channel at 2, before ...
@@ -420,6 +462,8 @@ def test_verification_reports_the_first_failing_channel():
     blocks[5] = [1, 0, 1, 1]  # block 0 has one channel, block 1 three
     bits[6] = outcomes[6] = [1, 0, 0, 1]
     blocks[6] = [1, 1, 0, 0]  # both blocks mixed; block 0 is checked first
+    bits[7] = outcomes[7] = [0, 0, 1, 0]
+    blocks[7] = [1, 0, 0, 1]  # block 0 (channels 1, 2) is mixed and holds no channel 0
     code, channel = _verify_announcement(cfg, taus, outcomes, bits, blocks)
     reasons = [None if c == 0 else list(AbortReason)[c - 1] for c in code]
     assert reasons == [
@@ -430,8 +474,9 @@ def test_verification_reports_the_first_failing_channel():
         AbortReason.INCONSISTENT_DISCLOSURE,
         AbortReason.INCONSISTENT_DISCLOSURE,
         AbortReason.BLOCK_MISMATCH,
+        AbortReason.BLOCK_MISMATCH,
     ]
-    assert channel.tolist() == [-1, 2, 1, 0, 1, 1, 3]
+    assert channel.tolist() == [-1, 2, 1, 0, 1, 1, 3, 2]
 
 
 @pytest.mark.parametrize(

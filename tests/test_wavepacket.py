@@ -298,6 +298,14 @@ def test_validation_errors():
     assert delayed_overlap(near.rear, near) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         Window(2.0, 2.0)
+    with pytest.raises(ValueError, match="must be numbers"):
+        Window(math.nan, 2.0)
+    with pytest.raises(ValueError, match="one profile family"):
+        StretchedState(Waveform(1.0), Waveform(2.0, center=8.0), 0)
+    with pytest.raises(ValueError, match="must trail"):
+        StretchedState(Waveform(1.0, center=8.0), Waveform(1.0), 0)
+    with pytest.raises(TypeError, match="expected Waveform or StretchedState"):
+        delayed_overlap(Window(7.0, 9.0), StretchedState.create(1.0, 8.0, bit=0))
     with pytest.raises(ValueError):
         StretchedState.create(1.0, 1.5, bit=0)  # overlapping compact humps
     with pytest.raises(ValueError):
