@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -181,11 +181,28 @@ class Event:
     payload: dict
 
 
-@dataclass
 class Transcript:
-    """Time-ordered log of everything both parties emitted and observed."""
+    """Time-ordered log of everything both parties emitted and observed.
 
-    events: list[Event] = field(default_factory=list)
+    An engine run holds its JSONL lines and the audit's view of its columns;
+    ``events`` is parsed from those lines at the first read, and from then on
+    the events are the transcript.
+    """
+
+    def __init__(self, events: list[Event] | None = None) -> None:
+        self._events = [] if events is None else events
+        self._lines = self._view = None
+
+    @property
+    def events(self) -> list[Event]:
+        if self._events is None:
+            self._events = [Event(**json.loads(line)) for line in self._lines]
+            self._lines = self._view = None
+        return self._events
+
+    @events.setter
+    def events(self, events: list[Event]) -> None:
+        self._events, self._lines, self._view = events, None, None
 
 
 @dataclass(frozen=True)
@@ -432,19 +449,21 @@ def simulate(
 # ---------------------------------------------------------------- rendering
 
 
-_KIND_ORDER = {
-    "emit": 0,
-    "mirror": 1,
-    "detect": 2,
-    "early_guess": 3,
-    "disclose": 4,
-    "verdict": 5,
-}
+# Engine lines as the encoder writes them, keys sorted and floats as their repr.  A detection's
+# line up to its channel, and on to its tau, is indexed by 3 * direction + outcome code.
+_EMIT_BC = '{"actor":"A","kind":"emit","payload":{"channel":%d,"delayed":%s},"t":0.0}'
+_EMIT_A = '{"actor":"A","kind":"emit","payload":{"channel":%d,"direction":"A->B"},"t":0.0}'
+_EMIT_B = '{"actor":"B","kind":"emit","payload":{"channel":%d,"direction":"B->A"},"t":0.0}'
+_MIRROR = '{"actor":"B","kind":"mirror","payload":{"channel":%d},"t":%r}'
+_DETECT_HEAD = tuple(f'{{"actor":"{r}","kind":"detect","payload":{{"channel":' for r in "BBBAAA")
+_DETECT_MID = tuple(f',"direction":"{d}","outcome":"{o}","tau":' for d in ("A->B", "B->A") for o in _OUTCOME_TEXT)
+_DISCLOSE = '{"actor":"%s","kind":"disclose","payload":{"channels":[%s],"phase":%d},"t":%r}'
+_ITEM = '{"bit":%d,"block":%d,"channel":%d}'
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _event_key(event: Event):
-    sub = event.payload.get("phase", event.payload.get("channel", -1))
-    return (event.t, _KIND_ORDER.get(event.kind, 9), sub)
+def _encode(t, actor, kind, payload) -> str:
+    return _JSONL_ENCODER.encode({"t": t, "actor": actor, "kind": kind, "payload": payload})
 
 
 def _verdict(batch: Batch, bit) -> Verdict:
@@ -455,45 +474,63 @@ def _verdict(batch: Batch, bit) -> Verdict:
     return Verdict(False, channel=int(batch.channel[0]), reason=_REASONS[code - 1])
 
 
-def _render(config, batch, events, phases, early_guess, verdict_actor, verdict_payload):
+def _render(config, batch, starts, phases, early_guess, verdict_actor, verdict_payload):
     """Trial 0 of ``batch`` as an audited transcript, with B's early guess.
 
-    ``events`` are the protocol's own t = 0 events.  To them go, for each
-    direction the batch holds, the detections up to full access; B's guess
-    on the A->B outcomes fired by tau_d, if ``early_guess``; one disclosure
-    per ``phases`` entry (actor, direction, channels), numbered from 1, at
-    tau_d; and the verdict at full access.
+    ``starts`` are the protocol's own (t, lines) groups, emits at t = 0 and
+    any mirrors at the channel delay, each placed before the detections at
+    its time.  After the detections at their times go B's guess on the A->B
+    outcomes fired by tau_d, if ``early_guess``; one disclosure per
+    ``phases`` entry (actor, direction, channels), numbered from 1, at tau_d;
+    and the verdict at full access.
     """
-    delay, horizon, t_d = config.channel_delay, config.full_access_horizon, config.tau_d
-    rows = {}
-    for direction, receiver, arrays in (("A->B", "B", batch.ab), ("B->A", "A", batch.ba)):
-        if arrays is None:
-            continue
-        taus, outcomes, _, _ = rows[direction] = [a[0].tolist() for a in arrays]
-        events += [
-            Event(tau + delay, receiver, "detect",
-                  {"channel": c, "outcome": _OUTCOME_TEXT[out], "tau": tau, "direction": direction})
-            for c, (tau, out) in enumerate(zip(taus, outcomes))
-            if tau <= horizon
-        ]
-    report = None
+    delay, horizon, tau_d = config.channel_delay, config.full_access_horizon, config.tau_d
+    sides = [(d, arrays) for d, arrays in (("A->B", batch.ab), ("B->A", batch.ba)) if arrays is not None]
+    cols = {d: [a[0].tolist() for a in arrays] for d, arrays in sides}
+    taus = np.concatenate([arrays[0][0] for _, arrays in sides])
+    codes = np.concatenate([arrays[1][0] + 3 * i for i, (_, arrays) in enumerate(sides)])
+    channels = np.flatnonzero(taus <= horizon)  # detections up to full access
+    taus, codes, channels = taus[channels], codes[channels], channels % config.n_channels
+    det_t = taus + delay
+    order = np.lexsort((channels, det_t))  # stable: A->B first at equal (t, channel)
+    det_t, codes = det_t[order], codes[order].tolist()
+    tau_text = list(map(repr, taus[order].tolist()))
+    # with no delay t is tau, unless tau is -0.0, as -0.0 + 0.0 is 0.0
+    t_text = tau_text if not delay and "-0.0" not in tau_text else list(map(repr, det_t.tolist()))
+    det_lines = [f'{_DETECT_HEAD[k]}{c}{_DETECT_MID[k]}{tau}}},"t":{t}}}'
+                 for k, c, tau, t in zip(codes, channels[order].tolist(), tau_text, t_text)]
+    t_d = tau_d + delay  # the wall time of disclosure
+    report, guesses, detected, late = None, [], {}, []
     if early_guess:
-        taus, outcomes, _, _ = rows["A->B"]
-        visible = {
-            c: out for c, (tau, out) in enumerate(zip(taus, outcomes)) if tau <= t_d and out != PERP
-        }
+        taus, outcomes, _, _ = cols["A->B"]
+        visible = {c: o for c, (tau, o) in enumerate(zip(taus, outcomes)) if tau <= tau_d and o != PERP}
         guess = exact_parity_guesser(visible, config.n_blocks, config.block_len)
-        payload = {"fired": {str(c): b for c, b in visible.items()}, "direction": "A->B",
-                   "guess": guess.guess, "confidence": guess.confidence}
-        events.append(Event(t_d + delay, "B", "early_guess", payload))
+        fired = {str(c): b for c, b in visible.items()}
+        late.append((t_d, [_encode(t_d, "B", "early_guess", {
+            "fired": fired, "direction": "A->B", "guess": guess.guess, "confidence": guess.confidence})]))
+        guesses.append((t_d, "A->B", fired))
+        detected = {("A->B", str(c)): (taus[c] + delay, _OUTCOME_TEXT[b]) for c, b in visible.items()}
         secret = int(batch.parity_a[0])
         report = EarlyGuessReport(guess.guess, guess.confidence, secret, guess.guess == secret)
-    for phase, (actor, direction, channels) in enumerate(phases, 1):
-        _, _, bits, blocks = rows[direction]
-        items = [{"channel": c, "bit": bits[c], "block": blocks[c]} for c in channels]
-        events.append(Event(t_d + delay, actor, "disclose", {"phase": phase, "channels": items}))
-    events.append(Event(horizon + delay, verdict_actor, "verdict", verdict_payload))
-    transcript = Transcript(sorted(events, key=_event_key))
+    items = {d: list(map(_ITEM.__mod__, zip(bits, blocks, range(len(bits)))))
+             for d, (_, _, bits, blocks) in cols.items()}
+    late.append((t_d, [_DISCLOSE % (actor, ",".join([items[d][c] for c in chosen]), phase, t_d)
+                       for phase, (actor, d, chosen) in enumerate(phases, 1)]))
+    late.append((horizon + delay, [_encode(horizon + delay, verdict_actor, "verdict", verdict_payload)]))
+
+    lines, times, at = [], [], 0
+    for i, (t, group) in enumerate(starts + late):
+        cut = int(np.searchsorted(det_t, t, "left" if i < len(starts) else "right"))
+        lines += det_lines[at:cut] + group
+        times += [det_t[at:cut], np.full(len(group), t)]
+        at = cut
+    verdicts = [len(lines) - 1]
+    lines += det_lines[at:]
+    times.append(det_t[at:])
+    transcript = Transcript()
+    transcript._events, transcript._lines = None, lines
+    transcript._view = (np.concatenate(times), [(t_d, phase) for phase in range(1, len(phases) + 1)],
+                        guesses, detected, verdicts)
     audit_transcript(transcript, config)
     return transcript, report
 
@@ -518,13 +555,13 @@ def run_bit_commitment(
     delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
     seed = config.master_seed if seed is None else seed
     batch = simulate(config, 1, seed, delayed_blocks=delayed)
-    events = [Event(0.0, "A", "emit", {"channel": c, "delayed": b in delayed})
-              for c, b in enumerate(batch.ab[3][0].tolist())]
+    emits = [_EMIT_BC % (c, "true" if b in delayed else "false")
+             for c, b in enumerate(batch.ab[3][0].tolist())]
     phases = [("A", "A->B", range(config.n_channels))]
 
     verdict = _verdict(batch, batch.parity_a)
-    transcript, early = _render(config, batch, events, phases, isinstance(strategy_b, EarlyGuess),
-                                "B", {"verdict": verdict.code()})
+    transcript, early = _render(config, batch, [(0.0, emits)], phases,
+                                isinstance(strategy_b, EarlyGuess), "B", {"verdict": verdict.code()})
     return BitCommitmentResult(transcript, verdict, int(batch.parity_a[0]), early)
 
 
@@ -551,15 +588,11 @@ def run_coin_toss(
     batch = simulate(
         config, 1, seed, coin_toss=True, mirror=mirror, staged=enforce_half_disclosure
     )
-    nk = config.n_channels
-    events = [
-        Event(0.0, "A", "emit", {"channel": c, "direction": "A->B"}) for c in range(nk)
-    ]
-    events.extend(
-        Event(config.channel_delay, "B", "mirror", {"channel": c}) if mirror
-        else Event(0.0, "B", "emit", {"channel": c, "direction": "B->A"})
-        for c in range(nk)
-    )
+    nk, delay = config.n_channels, config.channel_delay
+    if mirror:
+        starts = [(0.0, [_EMIT_A % c for c in range(nk)]), (delay, [_MIRROR % (c, delay) for c in range(nk)])]
+    else:  # both emit at t = 0, in channel order, A first
+        starts = [(0.0, [line for c in range(nk) for line in (_EMIT_A % c, _EMIT_B % c)])]
     phases = (("A", "A->B", range(nk)), ("B", "B->A", range(nk)))
     if enforce_half_disclosure:
         half, blocks_a = _phase_one_blocks(config), batch.ab[3][0].tolist()
@@ -576,7 +609,7 @@ def run_coin_toss(
         winner = payload["winner"] = "A" if lot == 0 else "B"
     else:
         payload["by"] = actor
-    transcript, early = _render(config, batch, events, phases, isinstance(strategy_b, EarlyGuess),
+    transcript, early = _render(config, batch, starts, phases, isinstance(strategy_b, EarlyGuess),
                                 actor, payload)
     return CoinTossResult(transcript, verdict, lot, winner, parity_a, parity_b, early)
 
@@ -596,80 +629,47 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
 def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
     """Check causality and phase ordering of a finished transcript.
 
-    Every early guess may only cite detector records that had fired by the
-    guess time with the outcomes the log actually contains, and staged
-    disclosure must appear in its agreed phase order.
+    Events must be in time order and end in the one verdict.  An early guess
+    may only cite, by the str of a channel id, detector records that had
+    fired by the guess time, each with the bit (an int, 0 or 1) the log
+    shows.  Disclosure must keep its agreed phase order and start no earlier
+    than tau_d + channel_delay.  An engine transcript whose events were never
+    read is checked on the columns it was written from.
     """
-    times = [e.t for e in transcript.events]
-    for before, after in zip(times, times[1:]):
-        if after < before - 1e-12:
-            raise AuditError("events out of time order")
-    detections = {}
-    for e in transcript.events:
-        if e.kind == "detect":
-            detections[(e.payload["direction"], e.payload["channel"])] = e
-    for e in transcript.events:
-        if e.kind != "early_guess":
-            continue
-        direction = e.payload.get("direction", "A->B")
-        for c_str, bit in e.payload["fired"].items():
-            d = detections.get((direction, int(c_str)))
-            if d is None or d.t > e.t + 1e-12:
+    view = transcript._view
+    if view is None:  # the view _render keeps of its columns, read off the events
+        events = transcript.events
+        view = ([e.t for e in events],
+                [(e.t, e.payload["phase"]) for e in events if e.kind == "disclose"],
+                [(e.t, e.payload.get("direction", "A->B"), e.payload["fired"])
+                 for e in events if e.kind == "early_guess"],
+                {(e.payload["direction"], str(e.payload["channel"])): (e.t, e.payload["outcome"])
+                 for e in events if e.kind == "detect"},
+                [i for i, e in enumerate(events) if e.kind == "verdict"])
+    times, disclosures, guesses, detected, verdicts = view
+    times = np.asarray(times, dtype=float)
+    if (times[1:] < times[:-1] - 1e-12).any():
+        raise AuditError("events out of time order")
+    if verdicts != [len(times) - 1]:
+        raise AuditError("the verdict is not the last event")
+    for t, direction, fired in guesses:
+        for key, bit in fired.items():
+            d = detected.get((direction, key))
+            if d is None or d[0] > t + 1e-12:
                 raise AuditError("guess cites a record outside its light cone")
-            if bit not in (0, 1) or d.payload["outcome"] != _OUTCOME_TEXT[bit]:
+            if type(bit) is not int or bit not in (0, 1) or d[1] != _OUTCOME_TEXT[bit]:
                 raise AuditError("guess cites a record inconsistent with the log")
-    phases = [e.payload["phase"] for e in transcript.events if e.kind == "disclose"]
-    if phases != sorted(phases):
+    if [phase for _, phase in disclosures] != sorted(phase for _, phase in disclosures):
         raise AuditError("disclosure phases out of order")
-
-
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_NUMBERS, _INF = (int, float), math.inf
-_ACTORS, _DIRECTIONS = ("A", "B"), ("A->B", "B->A")
-
-
-def _template_line(e: Event) -> str | None:
-    """An engine event's line from the template of its kind and payload keys,
-    byte-identical to the encoder's; None for any other event.  Values go in
-    as the repr of an exact int or a finite float, or from a known string set."""
-    p, t, kind = e.payload, e.t, e.kind
-    if not (type(p) is dict and type(t) in _NUMBERS and -_INF < t < _INF
-            and type(e.actor) is str and e.actor in _ACTORS and type(kind) is str):
-        return None
-    c, d, out, tau = p.get("channel"), p.get("direction"), p.get("outcome"), p.get("tau")
-    c_ok, d_ok, t_text = type(c) is int, type(d) is str and d in _DIRECTIONS, repr(t)
-    if (kind == "detect" and len(p) == 4 and c_ok and d_ok and type(out) is str
-            and out in _OUTCOME_TEXT and type(tau) in _NUMBERS and -_INF < tau < _INF):
-        # with no channel delay t == tau; 0.0 == -0.0 but is written apart
-        tau_text = t_text if tau == t and tau and type(tau) is type(t) else repr(tau)
-        body = f'"channel":{c},"direction":"{d}","outcome":"{out}","tau":{tau_text}'
-    elif kind == "emit" and len(p) == 2 and c_ok and type(p.get("delayed")) is bool:
-        body = f'"channel":{c},"delayed":{"true" if p["delayed"] else "false"}'
-    elif kind == "emit" and len(p) == 2 and c_ok and d_ok:
-        body = f'"channel":{c},"direction":"{d}"'
-    elif kind == "mirror" and len(p) == 1 and c_ok:
-        body = f'"channel":{c}'
-    elif kind == "disclose" and len(p) == 2 and type(p.get("phase")) is int \
-            and type(p.get("channels")) is list:
-        items = [f'{{"bit":{i["bit"]},"block":{i["block"]},"channel":{i["channel"]}}}'
-                 if type(i) is dict and len(i) == 3
-                 and type(i.get("bit")) is type(i.get("block")) is type(i.get("channel")) is int
-                 else None for i in p["channels"]]
-        if None in items:
-            return None
-        body = f'"channels":[{",".join(items)}],"phase":{p["phase"]}'
-    else:
-        return None
-    return f'{{"actor":"{e.actor}","kind":"{kind}","payload":{{{body}}},"t":{t_text}}}'
+    if any(t < config.tau_d + config.channel_delay for t, _ in disclosures):
+        raise AuditError("disclosure before the disclosure horizon")
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
-    """Serialize a transcript as one stable JSON object per line.  Any event
-    no template covers goes through the general encoder, so the bytes (and
-    any error raised) are always the encoder's."""
-    lines = [
-        _template_line(e)
-        or _JSONL_ENCODER.encode({"t": e.t, "actor": e.actor, "kind": e.kind, "payload": e.payload})
-        for e in transcript.events
-    ]
+    """Serialize a transcript as one stable JSON object per line: the lines
+    an engine run wrote, or, for any other transcript and once ``events``
+    has been read, the encoder's line for each event."""
+    lines = transcript._lines
+    if lines is None:
+        lines = [_encode(e.t, e.actor, e.kind, e.payload) for e in transcript.events]
     return "\n".join(lines) + "\n"

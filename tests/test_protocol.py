@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -416,6 +417,52 @@ def test_audit_rejects_disclosure_phases_out_of_order():
         audit_transcript(Transcript([renumbered(e) for e in res.transcript.events]), cfg)
 
 
+def cite(events, edit):
+    """``events`` with the early guess's ``fired`` map replaced by ``edit(fired)``."""
+    return [Event(e.t, e.actor, e.kind, {**e.payload, "fired": edit(e.payload["fired"])})
+            if e.kind == "early_guess" else e for e in events]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda fired: {**fired, "0": 1.0},  # was a TypeError from indexing by a float
+    lambda fired: {**fired, "0": True},  # was accepted as the bit 1
+    lambda fired: {"x": 1},  # was a ValueError from int()
+    lambda fired: {"00": 1},  # was read as channel 0
+], ids=["float-bit", "bool-bit", "non-decimal-key", "padded-key"])
+def test_audit_rejects_a_malformed_citation(edit):
+    cfg = config(2, 1)
+    res = run_bit_commitment(cfg, strategy_b=EarlyGuess(), seed=1)
+    events = res.transcript.events
+    assert next(e for e in events if e.kind == "early_guess").payload["fired"] == {"0": 1}
+    audit_transcript(Transcript(cite(events, dict)), cfg)
+    with pytest.raises(AuditError):
+        audit_transcript(Transcript(cite(events, edit)), cfg)
+
+
+def test_audit_rejects_a_disclosure_before_the_horizon():
+    cfg = config(3, 2, channel_delay=0.7)
+    res = run_coin_toss(cfg, seed=3)
+
+    def early(e):  # phase 1 one unit before tau_d + channel_delay, in time order
+        if e.kind != "disclose" or e.payload["phase"] != 1:
+            return e
+        return Event(e.t - 1.0, e.actor, e.kind, e.payload)
+
+    with pytest.raises(AuditError, match="before the disclosure horizon"):
+        audit_transcript(Transcript(sorted(map(early, res.transcript.events), key=lambda e: e.t)), cfg)
+
+
+def test_audit_rejects_a_detection_after_the_verdict():
+    cfg = config(2, 2)
+    res = run_bit_commitment(cfg, seed=2)
+    events = list(res.transcript.events)
+    last = max(i for i, e in enumerate(events) if e.kind == "detect")
+    moved = events.pop(last)
+    events.append(Event(events[-1].t, moved.actor, moved.kind, moved.payload))  # at the verdict's time
+    with pytest.raises(AuditError, match="verdict is not the last event"):
+        audit_transcript(Transcript(events), cfg)
+
+
 def test_audit_rejects_disordered_events():
     cfg = config(2, 1)
     res = run_bit_commitment(cfg, seed=2)
@@ -599,6 +646,67 @@ _RUNS = {
     "ct_sendback_single_shot": lambda cfg, seed: run_coin_toss(
         cfg, strategy_b=SendBack(), enforce_half_disclosure=False, seed=seed),
 }
+
+
+# the runs above and two more, over the sizes, profiles and delays below
+_VARIANTS = {
+    **_RUNS,
+    "bc_delay_two": lambda cfg, seed: run_bit_commitment(cfg, DelayBlocks({0, 1}), seed=seed),
+    "ct_single_shot": lambda cfg, seed: run_coin_toss(cfg, enforce_half_disclosure=False, seed=seed),
+}
+_VARIANT_GRID = [
+    (size, xi, delay, seed)
+    for size in [(2, 2), (3, 2), (8, 8), (64, 8)]
+    for xi in [None, 1.0]
+    for delay in [0.0, 0.7]
+    for seed in range(3)
+]
+
+
+def variant_runs(name):
+    for (n, k), xi, delay, seed in _VARIANT_GRID:
+        yield _VARIANTS[name](config(n, k, tail_exponent=xi, channel_delay=delay), seed)
+
+
+def reported(result):
+    """What a run reports besides its transcript, as one line of text."""
+    if hasattr(result, "committed_bit"):
+        outcome = (result.committed_bit,)
+    else:
+        outcome = (result.lot, result.winner, result.parity_a, result.parity_b)
+    report = result.early_guess
+    guess = report and (report.guess, report.confidence, report.committed_bit, report.correct)
+    return f"{result.verdict.code()} {outcome!r} {guess!r}\n"
+
+
+def test_engine_runs_keep_their_bytes():
+    # one SHA-256 over every variant's JSONL and report, taken from the
+    # per-event writer that sorted Event objects; any writer must keep it
+    digest = hashlib.sha256()
+    for name in sorted(_VARIANTS):
+        for result in variant_runs(name):
+            digest.update(transcript_to_jsonl(result.transcript).encode())
+            digest.update(reported(result).encode())
+    assert digest.hexdigest() == "8a602d77c400baf5479ddd65b6440b6fd5367435851ae25767147ff9a80731e8"
+
+
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+def test_events_are_the_lines_of_an_engine_transcript(name):
+    for result in variant_runs(name):
+        text = transcript_to_jsonl(result.transcript)
+        assert len(result.transcript.events) == text.count("\n")
+        assert transcript_to_jsonl(result.transcript) == text  # now written from the events
+
+
+def test_an_edited_transcript_is_written_from_its_events():
+    result = run_coin_toss(config(3, 2), strategy_b=EarlyGuess(), seed=1)
+    transcript_to_jsonl(result.transcript)
+    events = result.transcript.events
+    events[0].payload["channel"] = 99
+    del events[1]
+    events.append(Event(20.0, "A", "note", {"text": "\u00e9"}))
+    text = transcript_to_jsonl(result.transcript)
+    assert text == oracle_jsonl(events) and '"channel":99' in text and text.count("\n") == len(events)
 
 
 @pytest.mark.parametrize("run", sorted(_RUNS))
