@@ -70,4 +70,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -123,8 +123,7 @@ def _cmd_analytic(args) -> int:
         ("single-block delay escape (2^-k)", _fmt(0.5**k)),
     ]
     if args.tail_exponent is not None:
-        config = ProtocolConfig(n, k, tail_exponent=args.tail_exponent)
-        completion = (1.0 - config.make_state().front.tail_mass) ** config.n_channels
+        completion = ProtocolConfig(n, k, tail_exponent=args.tail_exponent).honest_completion
         rows.append(("tailed honest completion ((1-e^-xi)^(N k))", _fmt(completion)))
     print(f"closed-form rates for N={n} blocks of k={k}")
     width = max(len(label) for label, _ in rows)

@@ -228,10 +228,8 @@ def _engine_successes(config, trials, seed, success, **options) -> int:
 
 
 def _kernel_bc(config, options, trials, seed):
-    """Honest commitment accepted, announcing the committed bit: each channel
-    passes unless its outcome falls in the profile's tail mass (0 if compact)."""
-    successes = _engine_successes(config, trials, seed, lambda b: b.accepted)
-    return successes, (1.0 - config.make_state().front.tail_mass) ** config.n_channels
+    """Honest commitment accepted, announcing the committed bit."""
+    return _engine_successes(config, trials, seed, lambda b: b.accepted), config.honest_completion
 
 
 def _kernel_ct(config, options, trials, seed):

@@ -133,6 +133,11 @@ class ProtocolConfig:
         """Light-cone coordinate at which the entire nominal state is visible."""
         return self.separation + self.width
 
+    @property
+    def honest_completion(self) -> float:
+        """Chance that an honest run passes: a channel fails only by firing in the tail mass."""
+        return (1.0 - self.make_state().front.tail_mass) ** self.n_channels
+
     def make_state(self) -> StretchedState:
         """The agreed profile; the engine carries each channel's bit apart."""
         return StretchedState.create(self.width, self.separation, 0, self.tail_exponent)
@@ -184,25 +189,19 @@ class Event:
 class Transcript:
     """Time-ordered log of everything both parties emitted and observed.
 
-    An engine run holds its JSONL lines and the audit's view of its columns;
-    ``events`` is parsed from those lines at the first read, and from then on
-    the events are the transcript.
+    A transcript is its JSONL lines: ``Transcript(events)`` encodes each
+    event once, and every read of ``events`` parses the lines into new
+    events, equal to what an offline reader of the file sees.  An engine run
+    passes its lines and the audit's view of the columns it wrote them from.
     """
 
-    def __init__(self, events: list[Event] | None = None) -> None:
-        self._events = [] if events is None else events
-        self._lines = self._view = None
+    def __init__(self, events: Iterable[Event] = (), *, _lines=None, _view=None) -> None:
+        self._lines = [_encode(e.t, e.actor, e.kind, e.payload) for e in events] if _lines is None else _lines
+        self._view = _view
 
     @property
     def events(self) -> list[Event]:
-        if self._events is None:
-            self._events = [Event(**json.loads(line)) for line in self._lines]
-            self._lines = self._view = None
-        return self._events
-
-    @events.setter
-    def events(self, events: list[Event]) -> None:
-        self._events, self._lines, self._view = events, None, None
+        return [Event(**json.loads(line)) for line in self._lines]
 
 
 @dataclass(frozen=True)
@@ -300,6 +299,8 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
     belongs to block perm[c] // k.  Returns (parity, channel blocks, channel
     bits), the last two as (trials, channels) arrays.
     """
+    if _integer("trials", trials) < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     values = rng.integers(0, 2, (trials, config.n_blocks))
     perm = np.argsort(rng.random((trials, config.n_channels)), axis=1)
     blocks = perm // config.block_len
@@ -527,10 +528,9 @@ def _render(config, batch, starts, phases, early_guess, verdict_actor, verdict_p
     verdicts = [len(lines) - 1]
     lines += det_lines[at:]
     times.append(det_t[at:])
-    transcript = Transcript()
-    transcript._events, transcript._lines = None, lines
-    transcript._view = (np.concatenate(times), [(t_d, phase) for phase in range(1, len(phases) + 1)],
-                        guesses, detected, verdicts)
+    transcript = Transcript(_lines=lines, _view=(
+        np.concatenate(times), [(t_d, phase) for phase in range(1, len(phases) + 1)],
+        guesses, detected, verdicts))
     audit_transcript(transcript, config)
     return transcript, report
 
@@ -626,6 +626,13 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
     return Fraction(1, 2 ** ((n_blocks // 2) * block_len))
 
 
+def _field(event: Event, name: str):
+    """A payload field the audit reads, which a transcript read from a file may lack."""
+    if name not in event.payload:
+        raise AuditError(f"{event.kind} event without {name}")
+    return event.payload[name]
+
+
 def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
     """Check causality and phase ordering of a finished transcript.
 
@@ -633,17 +640,17 @@ def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
     may only cite, by the str of a channel id, detector records that had
     fired by the guess time, each with the bit (an int, 0 or 1) the log
     shows.  Disclosure must keep its agreed phase order and start no earlier
-    than tau_d + channel_delay.  An engine transcript whose events were never
-    read is checked on the columns it was written from.
+    than tau_d + channel_delay.  An engine transcript is checked on its
+    columns, any other on its events and the payload fields they must carry.
     """
     view = transcript._view
     if view is None:  # the view _render keeps of its columns, read off the events
         events = transcript.events
         view = ([e.t for e in events],
-                [(e.t, e.payload["phase"]) for e in events if e.kind == "disclose"],
-                [(e.t, e.payload.get("direction", "A->B"), e.payload["fired"])
+                [(e.t, _field(e, "phase")) for e in events if e.kind == "disclose"],
+                [(e.t, _field(e, "direction"), _field(e, "fired"))
                  for e in events if e.kind == "early_guess"],
-                {(e.payload["direction"], str(e.payload["channel"])): (e.t, e.payload["outcome"])
+                {(_field(e, "direction"), str(_field(e, "channel"))): (e.t, _field(e, "outcome"))
                  for e in events if e.kind == "detect"},
                 [i for i, e in enumerate(events) if e.kind == "verdict"])
     times, disclosures, guesses, detected, verdicts = view
@@ -666,10 +673,5 @@ def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
 
 
 def transcript_to_jsonl(transcript: Transcript) -> str:
-    """Serialize a transcript as one stable JSON object per line: the lines
-    an engine run wrote, or, for any other transcript and once ``events``
-    has been read, the encoder's line for each event."""
-    lines = transcript._lines
-    if lines is None:
-        lines = [_encode(e.t, e.actor, e.kind, e.payload) for e in transcript.events]
-    return "\n".join(lines) + "\n"
+    """Serialize a transcript as one stable JSON object per line."""
+    return "\n".join(transcript._lines) + "\n"

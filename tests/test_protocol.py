@@ -232,6 +232,15 @@ def test_simulate_rejects_delayed_blocks_out_of_range(blocks):
         simulate(ProtocolConfig(2, 2), 1000, 0, delayed_blocks=blocks)
 
 
+@pytest.mark.parametrize("trials", [True, 2.0, "2", -1, np.int64(-1)],
+                         ids=["bool", "float", "str", "negative", "negative-int64"])
+def test_simulate_rejects_a_trial_count_that_is_not_a_count(trials):
+    # was a TypeError, numpy's UFuncTypeError or its "negative dimensions"
+    with pytest.raises(ValueError, match="^trials must be"):
+        simulate(ProtocolConfig(2, 2), trials, 0)
+    assert simulate(ProtocolConfig(2, 2), np.int64(0), 0).code.shape == (0,)
+
+
 # ------------------------------------------------- block reassignment immunity
 
 
@@ -460,6 +469,20 @@ def test_audit_rejects_a_detection_after_the_verdict():
     moved = events.pop(last)
     events.append(Event(events[-1].t, moved.actor, moved.kind, moved.payload))  # at the verdict's time
     with pytest.raises(AuditError, match="verdict is not the last event"):
+        audit_transcript(Transcript(events), cfg)
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("early_guess", "direction"),  # was read as A->B and passed
+    ("disclose", "phase"),  # was a KeyError
+    ("detect", "direction"),  # was a KeyError
+])
+def test_audit_rejects_an_event_without_a_field_it_reads(kind, field):
+    cfg = config(2, 1)
+    events = run_bit_commitment(cfg, strategy_b=EarlyGuess(), seed=1).transcript.events
+    target = next(e for e in events if e.kind == kind)
+    del target.payload[field]
+    with pytest.raises(AuditError, match=f"^{kind} event without {field}$"):
         audit_transcript(Transcript(events), cfg)
 
 
@@ -695,18 +718,19 @@ def test_events_are_the_lines_of_an_engine_transcript(name):
     for result in variant_runs(name):
         text = transcript_to_jsonl(result.transcript)
         assert len(result.transcript.events) == text.count("\n")
-        assert transcript_to_jsonl(result.transcript) == text  # now written from the events
+        assert oracle_jsonl(result.transcript.events) == text
 
 
-def test_an_edited_transcript_is_written_from_its_events():
-    result = run_coin_toss(config(3, 2), strategy_b=EarlyGuess(), seed=1)
-    transcript_to_jsonl(result.transcript)
-    events = result.transcript.events
-    events[0].payload["channel"] = 99
-    del events[1]
-    events.append(Event(20.0, "A", "note", {"text": "\u00e9"}))
-    text = transcript_to_jsonl(result.transcript)
-    assert text == oracle_jsonl(events) and '"channel":99' in text and text.count("\n") == len(events)
+def test_each_read_of_the_events_is_a_new_copy_of_the_lines():
+    transcript = run_coin_toss(config(3, 2), strategy_b=EarlyGuess(), seed=1).transcript
+    text = transcript_to_jsonl(transcript)
+    first, second = transcript.events, transcript.events
+    assert first == second and first is not second and first[0] is not second[0]
+    first[0].payload["channel"] = 99
+    del first[1]
+    first.append(Event(20.0, "A", "note", {"text": "\u00e9"}))
+    assert transcript.events == second and transcript_to_jsonl(transcript) == text
+    assert oracle_jsonl(second) == text
 
 
 @pytest.mark.parametrize("run", sorted(_RUNS))
