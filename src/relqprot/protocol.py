@@ -18,12 +18,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from .parity import _integer, _validate_nk, exact_parity_guesser
+from .parity import _evidence_weights, _integer, _validate_nk
+from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .wavepacket import StretchedState, delayed_overlap
 
 __all__ = [
@@ -255,7 +256,8 @@ class Batch:
     channel (-1 when accepted), and ``by_b`` marks aborts B found in A's
     direction.  ``parity_a``/``parity_b`` are the announced parities, the
     first also A's committed bit.  ``ab`` and ``ba`` (coin toss only) hold
-    (taus, outcome codes, bits, blocks) arrays.
+    (taus, outcome codes, bits, blocks) arrays; taus that verification did not
+    read are placed from their kept draws on first read.
     """
 
     code: np.ndarray
@@ -263,8 +265,16 @@ class Batch:
     by_b: np.ndarray
     parity_a: np.ndarray
     parity_b: np.ndarray | None
-    ab: tuple
-    ba: tuple | None = None
+    _ab: tuple
+    _ba: tuple | None = None
+
+    @cached_property
+    def ab(self) -> tuple:
+        return (_placed(self._ab[0]), *self._ab[1:])
+
+    @cached_property
+    def ba(self) -> tuple | None:
+        return None if self._ba is None else (_placed(self._ba[0]), *self._ba[1:])
 
     @property
     def accepted(self) -> np.ndarray:
@@ -307,11 +317,44 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
     return values.sum(axis=1) % 2, blocks, values[np.arange(trials)[:, None], blocks]
 
 
+@lru_cache(maxsize=None)
+def _class_bound(width: float, separation: float, tail_exponent: float | None, shift: float) -> float:
+    """Least U of a compact draw from which its fire surely lies inside its
+    hump window, cached per geometry: u* = 2^-40 when the sampler's own
+    placement of t = +-sqrt(1 - sqrt(u*)) in both humps, moved by ``shift``,
+    lies strictly inside the windows, and inf otherwise or for the Gaussian.
+    As |t| <= sqrt(1 - sqrt(U)) and each rounded step of the placement is
+    monotone, a fire with U >= u* lies between those four, before full access.
+    """
+    state, u = StretchedState.create(width, separation, 0, tail_exponent), 2.0**-40
+    if not state.front.is_compact:
+        return math.inf
+    rear, v = np.array([False, False, True, True]), np.array([0.0, 0.5, 0.0, 0.5])
+    taus = state._place_fires((rear, (np.full(4, u), v))) + shift
+    front_window, rear_window = state.hump_windows()
+    return u if np.where(rear, rear_window.contains(taus), front_window.contains(taus)).all() else math.inf
+
+
+def _placed(taus):
+    """Fire coordinates as ``_sample_outcomes`` returned them, placed if it deferred them."""
+    return taus() if callable(taus) else taus
+
+
 def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
     """Fire coordinates (moved by ``shift`` on the receiver's light cone) and
     outcome codes: inside a nominal hump window an outcome reveals the bit,
-    anywhere else it lands in the orthogonal complement."""
-    taus = state.sample_fire_time(rng, bits.shape) + shift
+    anywhere else it lands in the orthogonal complement.
+
+    When every U of the draw is at least the geometry's class bound, every
+    fire lies in its window before full access, so the codes are a copy of
+    the bits (the delayed path writes them) and the coordinates a call, made
+    once, that places the draws.
+    """
+    draws = state._fire_draws(rng, bits.shape)
+    bound = _class_bound(state.front.width, state.separation, state.front.tail_exponent, shift)
+    if bound < math.inf and draws[1][0].min(initial=math.inf) >= bound:
+        return lambda: state._place_fires(draws) + shift, bits.copy()
+    taus = state._place_fires(draws) + shift
     front, rear = state.hump_windows()
     return taus, np.where(front.contains(taus) | rear.contains(taus), bits, PERP)
 
@@ -340,7 +383,8 @@ def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
 
     Scans channels in index order: a channel that was not disclosed, never
     fired within the full nominal extent, fired orthogonally, or fired
-    against its announced bit aborts at the first such channel.  Announced
+    against its announced bit aborts at the first such channel; ``taus`` of
+    None means that no channel was silent.  Announced
     block structure is then checked for shape (every block exactly block_len
     channels) and per-block uniformity, in block order.  Block ids must lie
     in [0, n_blocks).  Returns (verdict code, failing channel) arrays.
@@ -348,9 +392,10 @@ def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
     trials = len(bits)
     n, k = config.n_blocks, config.block_len
     rows = np.arange(trials)
+    silent = False if taus is None else taus > config.full_access_horizon
     reason = np.where(
         bits < 0, _CODE[AbortReason.INCONSISTENT_DISCLOSURE], np.where(
-            taus > config.full_access_horizon, _CODE[AbortReason.SILENT_AT_FULL_ACCESS], np.where(
+            silent, _CODE[AbortReason.SILENT_AT_FULL_ACCESS], np.where(
                 outcomes == PERP, _CODE[AbortReason.PERP_OUTCOME],
                 np.where(outcomes != bits, _CODE[AbortReason.WRONG_CHANNEL], 0))))
     first = (reason != 0).argmax(axis=1)
@@ -413,6 +458,7 @@ def simulate(
         parity_b, blocks_b, bits_b = sample_secret(config, trials, rng)
     taus, outcomes = _sample_outcomes(state, bits_a, rng)
     if delayed_blocks:
+        taus = _placed(taus)
         p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
         delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
         count = int(np.count_nonzero(delayed))
@@ -425,7 +471,7 @@ def simulate(
     if mirror:  # the mirroring peer checks nothing
         code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)
     else:
-        code, channel = _verify_announcement(config, *ab)
+        code, channel = _verify_announcement(config, None if callable(taus) else taus, *ab[1:])
     by_b = code != 0
     if not coin_toss:
         return Batch(code, channel, by_b, parity_a, None, ab)
@@ -442,7 +488,7 @@ def simulate(
     else:
         taus, outcomes = _sample_outcomes(state, bits_b, rng)
     ba = (taus, outcomes, bits_b, blocks_b)
-    code_ba, channel_ba = _verify_announcement(config, *ba)
+    code_ba, channel_ba = _verify_announcement(config, None if callable(taus) else taus, *ba[1:])
     code, channel = np.where(by_b, code, code_ba), np.where(by_b, channel, channel_ba)
     return Batch(code, channel, by_b, parity_a, parity_b, ab, ba)
 
@@ -505,14 +551,18 @@ def _render(config, batch, starts, phases, early_guess, verdict_actor, verdict_p
     if early_guess:
         taus, outcomes, _, _ = cols["A->B"]
         visible = {c: o for c, (tau, o) in enumerate(zip(taus, outcomes)) if tau <= tau_d and o != PERP}
-        guess = exact_parity_guesser(visible, config.n_blocks, config.block_len)
+        ones = sum(visible.values())
+        # the optimal guess from the counts: odd only if heavier, and the
+        # int division rounds the exact posterior as float(Fraction) does
+        even, odd = _evidence_weights(config.n_blocks, config.block_len, ones, len(visible) - ones)
+        guess, confidence = int(odd > even), max(even, odd) / (even + odd)
         fired = {str(c): b for c, b in visible.items()}
         late.append((t_d, [_encode(t_d, "B", "early_guess", {
-            "fired": fired, "direction": "A->B", "guess": guess.guess, "confidence": guess.confidence})]))
+            "fired": fired, "direction": "A->B", "guess": guess, "confidence": confidence})]))
         guesses.append((t_d, "A->B", fired))
         detected = {("A->B", str(c)): (taus[c] + delay, _OUTCOME_TEXT[b]) for c, b in visible.items()}
         secret = int(batch.parity_a[0])
-        report = EarlyGuessReport(guess.guess, guess.confidence, secret, guess.guess == secret)
+        report = EarlyGuessReport(guess, confidence, secret, guess == secret)
     items = {d: list(map(_ITEM.__mod__, zip(bits, blocks, range(len(bits)))))
              for d, (_, _, bits, blocks) in cols.items()}
     late.append((t_d, [_DISCLOSE % (actor, ",".join([items[d][c] for c in chosen]), phase, t_d)

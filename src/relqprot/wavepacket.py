@@ -135,14 +135,22 @@ class Waveform:
         return self.center + self.sigma * ndtri(q)
 
     def sample(self, rng, size):
-        """Draw ``size`` coordinates from uniforms or standard normals alone.
-        A compact draw is t = sin(pi u / 2) ~ sqrt(1 - sqrt(U)) cos(2 pi V),
-        Ulrich's symmetric Beta(5/2, 5/2), made with at most two arrays of
-        ``size`` floats alive at once."""
+        """Draw ``size`` coordinates from uniforms or standard normals alone,
+        with at most two arrays of ``size`` floats alive at once."""
+        return self._place(self._draws(rng, size))
+
+    def _draws(self, rng, size):
+        """The generator calls of a sample: U then V for the bump, normals for the Gaussian."""
+        return (rng.random(size), rng.random(size)) if self.is_compact else (rng.standard_normal(size),)
+
+    def _place(self, draws):
+        """Coordinates from ``draws``, written over the first of them.  A
+        compact draw is t = sin(pi u / 2) ~ sqrt(1 - sqrt(U)) cos(2 pi V),
+        Ulrich's symmetric Beta(5/2, 5/2), placed monotonically in t."""
         if not self.is_compact:
-            return self.center + self.sigma * rng.standard_normal(size)
-        t = np.sqrt(1.0 - np.sqrt(rng.random(size)))
-        v = rng.random(size)
+            return np.add(np.multiply(draws[0], self.sigma, out=draws[0]), self.center, out=draws[0])
+        t, v = draws
+        np.sqrt(np.subtract(1.0, np.sqrt(t, out=t), out=t), out=t)
         v *= 2.0 * np.pi
         t *= np.cos(v, out=v)
         np.arcsin(t, out=t)
@@ -236,9 +244,16 @@ class StretchedState:
         """Draw an array of outcome coordinates from the two-hump density: a
         fair coin picks the hump, then one profile draw places the outcome
         in it."""
-        pick_rear = rng.random(size) < 0.5
-        taus = self.front.sample(rng, size)
-        return np.add(taus, self.separation, out=taus, where=pick_rear)
+        return self._place_fires(self._fire_draws(rng, size))
+
+    def _fire_draws(self, rng, size):
+        """The generator calls of a fire time: the hump coins, then the profile's draws."""
+        return rng.random(size) < 0.5, self.front._draws(rng, size)
+
+    def _place_fires(self, draws):
+        """Coordinates from ``_fire_draws``, written over them."""
+        taus = self.front._place(draws[1])
+        return np.add(taus, self.separation, out=taus, where=draws[0])
 
 
 def _amplitude_parts(state) -> list[tuple[float, Waveform]]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relqprot.experiment import _optimal_guesses
+from relqprot.parity import exact_parity_guesser
 from relqprot.protocol import (
     HONEST,
     PERP,
@@ -22,6 +23,7 @@ from relqprot.protocol import (
     ProtocolConfig,
     SendBack,
     Transcript,
+    _class_bound,
     _verify_announcement,
     audit_transcript,
     mirror_guess_acceptance,
@@ -197,6 +199,25 @@ def test_reported_early_guess_is_the_guess_on_the_engine_outcomes(run, coin_toss
         batch = simulate(cfg, 1, seed, coin_toss=coin_toss)
         assert report.guess == early_guesses(cfg, batch)[0]
         assert report.correct == (report.guess == secret_parity(cfg, 1, seed)[0])
+
+
+@pytest.mark.parametrize("cfg, strategy_a", [
+    (config(4, 1), HONEST),
+    (config(2, 3, disclosure_time=8.5), DelayBlocks([1])),
+    (config(8, 8, tail_exponent=1.0), DelayBlocks([0])),
+    (config(64, 8, channel_delay=0.7), DelayBlocks([0])),
+])
+def test_reported_early_guess_is_the_exact_guesser_s(cfg, strategy_a):
+    # the run reads the guess off the counts; the checked public guesser on
+    # the channels the event cites must agree, confidence bytes included
+    for seed in range(8):
+        result = run_bit_commitment(cfg, strategy_a, EarlyGuess(), seed=seed)
+        (event,) = [e for e in result.transcript.events if e.kind == "early_guess"]
+        expected = exact_parity_guesser({int(c): b for c, b in event.payload["fired"].items()},
+                                        cfg.n_blocks, cfg.block_len)
+        report = result.early_guess
+        assert (report.guess, report.confidence) == tuple(expected)
+        assert (event.payload["guess"], event.payload["confidence"]) == tuple(expected)
 
 
 def test_early_guess_visible_channels_only():
@@ -622,6 +643,102 @@ def test_mirror_requires_the_coin_toss():
     with pytest.raises(ValueError, match="coin toss"):
         simulate(config(4, 2), 1000, 0, mirror=True)
     assert simulate(config(4, 2), 10, 0, coin_toss=True, mirror=True).ba is not None
+
+
+def assert_classed_by_coordinates(cfg, batch, mirror=False):
+    """A batch's outcome codes and verdicts are those of its placed
+    coordinates: the bit the state carries inside a hump window, PERP
+    anywhere else.  A mirror returns A's states, whatever bits it announces."""
+    front, rear = cfg.make_state().hump_windows()
+    for taus, outcomes, bits, _ in filter(None, (batch.ab, batch.ba)):
+        carried = batch.ab[2] if mirror else bits
+        assert np.array_equal(outcomes, np.where(front.contains(taus) | rear.contains(taus), carried, PERP))
+    code, channel = _verify_announcement(cfg, *batch.ab)
+    if not mirror:  # a mirroring peer checks nothing
+        assert np.array_equal(batch.by_b, code != 0)
+    if batch.ba is not None:
+        code_ba, channel_ba = _verify_announcement(cfg, *batch.ba)
+        code, channel = np.where(batch.by_b, code, code_ba), np.where(batch.by_b, channel, channel_ba)
+    assert np.array_equal(batch.code, code) and np.array_equal(batch.channel, channel)
+
+
+class EdgeFires(np.random.Generator):
+    """A commitment's generator that puts every fire on a hump window's edge:
+    U = 0 and V alternating 0 and 1/2 give t = +-1.  A bit commitment draws
+    its uniforms for the permutation, the hump coins, U, then V."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        if self.calls == 3:
+            return np.zeros(size)
+        if self.calls == 4:
+            return np.resize([0.0, 0.5], size)
+        return super().random(size)
+
+
+@pytest.mark.parametrize("width", [0.5, 1.0, 3.0])
+def test_fires_on_a_window_edge_are_perp(width):
+    cfg = config(2, 2, width=width)
+    batch = simulate(cfg, 50, EdgeFires(3))
+    assert (batch.ab[1] == PERP).all()
+    assert (batch.code == list(AbortReason).index(AbortReason.PERP_OUTCOME) + 1).all()
+    assert_classed_by_coordinates(cfg, batch)
+
+
+@pytest.mark.parametrize("width", [1e-15, 1e-14, 1e-10, 1.0])
+@pytest.mark.parametrize("options", [{}, {"coin_toss": True}])
+def test_outcomes_are_the_classes_of_the_coordinates(width, options):
+    # at width 1e-15 against separation 8 rounding puts some fires on an edge
+    cfg = config(8, 4, width=width)
+    for seed in range(3):
+        batch = simulate(cfg, 400, seed, **options)
+        assert_classed_by_coordinates(cfg, batch)
+        assert (batch.ab[1] == PERP).any() == (width == 1e-15)
+
+
+@pytest.mark.parametrize("staged", [True, False])
+def test_mirrored_outcomes_are_the_classes_of_the_shifted_coordinates(staged):
+    cfg = config(3, 2, channel_delay=0.7)
+    for seed in range(3):
+        batch = simulate(cfg, 400, seed, coin_toss=True, mirror=True, staged=staged)
+        assert_classed_by_coordinates(cfg, batch, mirror=True)
+        assert (batch.ba[1] == PERP).any()
+
+
+def test_compact_fires_are_classed_by_their_draws_only_with_a_margin():
+    # the bound below which a U sends a call to the coordinates
+    assert _class_bound(1.0, 8.0, None, 0.0) == _class_bound(1e-10, 8.0, None, 0.0) == 2.0**-40
+    for geometry in [(1e-15, 8.0, None, 0.0), (1e-14, 8.0, None, 0.0),
+                     (1.0, 8.0, None, 0.7), (1.0, 8.0, 4.0, 0.0)]:
+        assert _class_bound(*geometry) == math.inf
+
+
+@pytest.mark.parametrize("coin_toss", [False, True])
+def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss):
+    cfg = config(8, 4)
+    batch = simulate(cfg, 300, 5, coin_toss=coin_toss)
+    first, second = batch.ab, batch.ab
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    rng = np.random.default_rng(5)
+    state, shape = cfg.make_state(), (300, cfg.n_channels)
+    sample_secret(cfg, 300, rng)
+    if coin_toss:
+        sample_secret(cfg, 300, rng)
+    assert np.array_equal(first[0], state.sample_fire_time(rng, shape))
+    if coin_toss:
+        assert np.array_equal(batch.ba[0], state.sample_fire_time(rng, shape))
+    assert_classed_by_coordinates(cfg, batch)
+
+
+def test_delayed_outcomes_leave_the_secret_bits_alone():
+    cfg = config(4, 2)
+    batch = simulate(cfg, 300, 2, delayed_blocks={0, 3})
+    assert np.array_equal(batch.ab[2], sample_secret(cfg, 300, np.random.default_rng(2))[2])
+    assert (batch.ab[1] == PERP).any()
 
 
 @pytest.mark.parametrize("mirror", [False, True])
