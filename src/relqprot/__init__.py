@@ -30,7 +30,6 @@ from .parity import (
     InconsistentEvidenceError,
     ParityGuess,
     alpha,
-    block_string_parity,
     count_block_strings,
     count_block_strings_closed,
     exact_parity_guesser,
@@ -70,4 +69,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .measurement import composite_error
-from .parity import _evidence_weights, _integer, pc_parity_optimal
+from .parity import _evidence_weights, _integer, _natural, pc_parity_optimal
 from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .protocol import (
     ProtocolConfig,
@@ -78,7 +78,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario id: {self.scenario!r}")
-        _integer("master_seed", self.master_seed)
+        _natural("master_seed", self.master_seed)
         if _integer("trials", self.trials) < 1:
             raise ValueError("trials must be at least 1")
         if not self.grid:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_ENUM_BOUND",
     "InconsistentEvidenceError",
     "ParityGuess",
-    "block_string_parity",
     "count_block_strings",
     "count_block_strings_closed",
     "alpha",
@@ -53,20 +52,18 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _natural(name: str, value) -> int:
+    """The integer rule for a count or a seed, which must not be negative."""
+    if (value := _integer(name, value)) < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def _validate_nk(n_blocks, block_len) -> tuple[int, int]:
     n_blocks, block_len = _integer("n_blocks", n_blocks), _integer("block_len", block_len)
     if n_blocks < 1 or block_len < 1:  # the one block-geometry rule
         raise ValueError(f"{'n_blocks' if n_blocks < 1 else 'block_len'} must be at least 1")
     return n_blocks, block_len
-
-
-def block_string_parity(bits: Sequence[int], block_len: int) -> int:
-    """Parity encoded by a full channel string; rejects non-block strings."""
-    _, block_len = _validate_nk(1, block_len)
-    ones = sum(bits)
-    if ones % block_len:
-        raise ValueError("popcount is not a multiple of the block length")
-    return (ones // block_len) % 2
 
 
 def count_block_strings(n_blocks: int, block_len: int) -> tuple[int, int]:

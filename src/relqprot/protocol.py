@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .parity import _evidence_weights, _integer, _validate_nk
+from .parity import _evidence_weights, _integer, _natural, _validate_nk
 from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .wavepacket import StretchedState, delayed_overlap
 
@@ -66,8 +66,9 @@ _REASONS = tuple(AbortReason)
 _CODE = {reason: i + 1 for i, reason in enumerate(_REASONS)}
 
 # Outcome codes: 0 and 1 are the internal bit an outcome revealed, PERP the
-# orthogonal complement.  This is the only mapping from codes to text.
-PERP = 2
+# orthogonal complement, SILENT no fire by full access.  This is the only
+# mapping from codes to text; a silent channel writes no detection.
+PERP, SILENT = 2, 3
 _OUTCOME_TEXT = ("ch0", "ch1", "perp")
 
 
@@ -105,7 +106,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         _validate_nk(self.n_blocks, self.block_len)
-        _integer("master_seed", self.master_seed)
+        _natural("master_seed", self.master_seed)
         # stored as float, so equal geometries give equal transcript bytes
         for name in ("width", "separation", "channel_delay", "tail_exponent", "disclosure_time"):
             if getattr(self, name) is not None or name not in ("tail_exponent", "disclosure_time"):
@@ -256,8 +257,8 @@ class Batch:
     channel (-1 when accepted), and ``by_b`` marks aborts B found in A's
     direction.  ``parity_a``/``parity_b`` are the announced parities, the
     first also A's committed bit.  ``ab`` and ``ba`` (coin toss only) hold
-    (taus, outcome codes, bits, blocks) arrays; taus that verification did not
-    read are placed from their kept draws on first read.
+    (taus, outcome codes, bits, blocks) arrays; taus the sampler deferred are
+    placed from their kept draws on first read, as verification reads codes only.
     """
 
     code: np.ndarray
@@ -309,8 +310,7 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
     belongs to block perm[c] // k.  Returns (parity, channel blocks, channel
     bits), the last two as (trials, channels) arrays.
     """
-    if _integer("trials", trials) < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
+    _natural("trials", trials)
     values = rng.integers(0, 2, (trials, config.n_blocks))
     perm = np.argsort(rng.random((trials, config.n_channels)), axis=1)
     blocks = perm // config.block_len
@@ -343,6 +343,7 @@ def _placed(taus):
 def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
     """Fire coordinates (moved by ``shift`` on the receiver's light cone) and
     outcome codes: inside a nominal hump window an outcome reveals the bit,
+    past the full-access horizon (the rear window's end) it is SILENT, and
     anywhere else it lands in the orthogonal complement.
 
     When every U of the draw is at least the geometry's class bound, every
@@ -356,7 +357,8 @@ def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
         return lambda: state._place_fires(draws) + shift, bits.copy()
     taus = state._place_fires(draws) + shift
     front, rear = state.hump_windows()
-    return taus, np.where(front.contains(taus) | rear.contains(taus), bits, PERP)
+    missed = np.where(taus > rear.hi, SILENT, PERP)
+    return taus, np.where(front.contains(taus) | rear.contains(taus), bits, missed)
 
 
 def _mirror_plan(config: ProtocolConfig, bits):
@@ -378,26 +380,26 @@ def _phase_one_blocks(config: ProtocolConfig) -> int:
     return (config.n_blocks + 1) // 2
 
 
-def _verify_announcement(config: ProtocolConfig, taus, outcomes, bits, blocks):
-    """Full-access verification of one direction, per trial.
+# The abort reason of a disclosed channel whose outcome is not its bit, by outcome code.
+_OUTCOME_REASON = np.array([_CODE[AbortReason.WRONG_CHANNEL], _CODE[AbortReason.WRONG_CHANNEL],
+                            _CODE[AbortReason.PERP_OUTCOME], _CODE[AbortReason.SILENT_AT_FULL_ACCESS]])
 
-    Scans channels in index order: a channel that was not disclosed, never
-    fired within the full nominal extent, fired orthogonally, or fired
-    against its announced bit aborts at the first such channel; ``taus`` of
-    None means that no channel was silent.  Announced
-    block structure is then checked for shape (every block exactly block_len
-    channels) and per-block uniformity, in block order.  Block ids must lie
-    in [0, n_blocks).  Returns (verdict code, failing channel) arrays.
+
+def _verify_announcement(config: ProtocolConfig, outcomes, bits, blocks):
+    """Full-access verification of one direction, per trial, from the outcome classes.
+
+    Scans channels in index order: a channel that was not disclosed, or
+    whose outcome is not its announced bit (the other bit, PERP or SILENT),
+    aborts at the first such channel.  Announced block structure is then
+    checked for shape (every block exactly block_len channels) and per-block
+    uniformity, in block order.  Block ids must lie in [0, n_blocks).
+    Returns (verdict code, failing channel) arrays.
     """
     trials = len(bits)
     n, k = config.n_blocks, config.block_len
     rows = np.arange(trials)
-    silent = False if taus is None else taus > config.full_access_horizon
-    reason = np.where(
-        bits < 0, _CODE[AbortReason.INCONSISTENT_DISCLOSURE], np.where(
-            silent, _CODE[AbortReason.SILENT_AT_FULL_ACCESS], np.where(
-                outcomes == PERP, _CODE[AbortReason.PERP_OUTCOME],
-                np.where(outcomes != bits, _CODE[AbortReason.WRONG_CHANNEL], 0))))
+    reason = np.where(bits < 0, _CODE[AbortReason.INCONSISTENT_DISCLOSURE],
+                      np.where(outcomes == bits, 0, _OUTCOME_REASON[outcomes]))
     first = (reason != 0).argmax(axis=1)
     code = reason[rows, first]
     channel = np.where(code != 0, first, -1)
@@ -465,13 +467,14 @@ def simulate(
         q, passed = rng.random(count), rng.random(count) < p_pass
         # a passing state fired in the rear window: draw from the profile there
         lo, hi = state.rear.cdf(state.rear.nominal_interval)
-        taus[delayed] = state.rear.ppf(np.where(passed, lo + q * (hi - lo), q))
-        outcomes[delayed] = np.where(passed, bits_a[delayed], PERP)
+        fired = taus[delayed] = state.rear.ppf(np.where(passed, lo + q * (hi - lo), q))
+        missed = np.where(fired > config.full_access_horizon, SILENT, PERP)
+        outcomes[delayed] = np.where(passed, bits_a[delayed], missed)
     ab = (taus, outcomes, bits_a, blocks_a)
     if mirror:  # the mirroring peer checks nothing
         code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)
     else:
-        code, channel = _verify_announcement(config, None if callable(taus) else taus, *ab[1:])
+        code, channel = _verify_announcement(config, *ab[1:])
     by_b = code != 0
     if not coin_toss:
         return Batch(code, channel, by_b, parity_a, None, ab)
@@ -488,7 +491,7 @@ def simulate(
     else:
         taus, outcomes = _sample_outcomes(state, bits_b, rng)
     ba = (taus, outcomes, bits_b, blocks_b)
-    code_ba, channel_ba = _verify_announcement(config, None if callable(taus) else taus, *ba[1:])
+    code_ba, channel_ba = _verify_announcement(config, *ba[1:])
     code, channel = np.where(by_b, code, code_ba), np.where(by_b, channel, channel_ba)
     return Batch(code, channel, by_b, parity_a, parity_b, ab, ba)
 

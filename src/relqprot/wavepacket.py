@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -107,10 +107,6 @@ class Waveform:
         z = (tau - self.center) / s
         return np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi))
 
-    def amplitude(self, tau):
-        """Real non-negative amplitude (both families are phase-free)."""
-        return np.sqrt(self.density(tau))
-
     def cdf(self, tau):
         tau = np.asarray(tau, dtype=float)
         if self.is_compact:
@@ -158,9 +154,6 @@ class Waveform:
         t += self.center
         return t
 
-    def translated(self, delta: float) -> "Waveform":
-        return replace(self, center=self.center + delta)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -174,9 +167,6 @@ class Window:
             raise ValueError("window edges must be numbers")
         if not self.hi > self.lo:
             raise ValueError("window must satisfy hi > lo")
-
-    def shifted(self, delta: float) -> "Window":
-        return Window(self.lo + delta, self.hi + delta)
 
     def contains(self, tau):
         """Open-interval membership; elementwise for an array of coordinates."""
@@ -208,23 +198,13 @@ class StretchedState:
 
     @classmethod
     def create(
-        cls,
-        width: float,
-        separation: float,
-        bit: int,
-        tail_exponent: float | None = None,
-        translation: float = 0.0,
+        cls, width: float, separation: float, bit: int, tail_exponent: float | None = None
     ) -> "StretchedState":
-        front = Waveform(width, translation, tail_exponent)
-        return cls(front, front.translated(separation), bit)
+        return cls(Waveform(width, 0.0, tail_exponent), Waveform(width, separation, tail_exponent), bit)
 
     @property
     def separation(self) -> float:
         return self.rear.center - self.front.center
-
-    @property
-    def translation(self) -> float:
-        return self.front.center
 
     def window_mass(self, window: Window) -> float:
         """Probability that a detector confined to ``window`` obtains an outcome."""
@@ -235,10 +215,6 @@ class StretchedState:
     def hump_windows(self) -> tuple[Window, Window]:
         """Nominal per-hump localization windows used by the verification."""
         return (Window(*self.front.nominal_interval), Window(*self.rear.nominal_interval))
-
-    def translated(self, delta: float) -> "StretchedState":
-        """Shift all amplitude along the light cone; the internal bit is untouched."""
-        return StretchedState(self.front.translated(delta), self.rear.translated(delta), self.bit)
 
     def sample_fire_time(self, rng, size):
         """Draw an array of outcome coordinates from the two-hump density: a

@@ -379,6 +379,24 @@ def test_run_rejects_non_integer_block_count(tmp_path, capsys):
     assert code == 2 and "n_blocks must be an integer" in err
 
 
+def test_run_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy would reject it mid-run without naming the field
+    code, out, err = run_cli(
+        ["run", "bc", "-N", "2", "-k", "2", "--seed", "-3", "--out", str(tmp_path / "t.jsonl")], capsys
+    )
+    assert code == 2 and out == "" and "master_seed must be non-negative" in err
+
+
+def test_sweep_rejects_a_negative_master_seed(tmp_path, capsys):
+    # checked when the spec is built, not inside a worker
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"scenario": "bc_honest", "grid": {"n_blocks": [2, 3]}, "trials": 10, "master_seed": -1}))
+    argv = ["sweep", "--config", str(spec_path), "--out", str(tmp_path / "s.csv"), "--jobs", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and "master_seed must be non-negative" in err
+
+
 def _sweep_usage_error(tmp_path, capsys, spec, out=None):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

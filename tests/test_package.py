@@ -19,8 +19,15 @@ def test_version_matches_pyproject():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("EnumerationBoundError", "accessible_horizon"):
+    for name in ("EnumerationBoundError", "accessible_horizon", "block_string_parity"):
         assert not hasattr(relqprot, name)
+    assert not hasattr(relqprot.parity, "block_string_parity")
+    for owner, name in [(relqprot.Waveform, "amplitude"), (relqprot.Waveform, "translated"),
+                        (relqprot.Window, "shifted"), (relqprot.StretchedState, "translated"),
+                        (relqprot.StretchedState, "translation")]:
+        assert not hasattr(owner, name)
+    with pytest.raises(TypeError, match="translation"):
+        relqprot.StretchedState.create(1.0, 8.0, 0, translation=4.5)
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from relqprot.parity import (
     InconsistentEvidenceError,
     alpha,
-    block_string_parity,
     count_block_strings,
     count_block_strings_closed,
     exact_parity_guesser,
@@ -333,14 +332,8 @@ def test_sample_secret_consistency():
     for secret, row_blocks, row_bits in zip(parity, blocks, bits.tolist()):
         for block in range(3):  # every block of k channels carries one value
             assert len({row_bits[c] for c in np.flatnonzero(row_blocks == block)}) == 1
-        assert block_string_parity(row_bits, 2) == secret
+        assert sum(row_bits) // 2 % 2 == secret
     assert abs(parity.mean() - 0.5) <= 3 * math.sqrt(0.25 / trials)
-
-
-def test_block_string_parity_rejects_invalid():
-    with pytest.raises(ValueError):
-        block_string_parity((1, 0, 0, 0), 2)
-    assert block_string_parity((1, 1, 0, 0), 2) == 1
 
 
 # ----------------------------------------------------------- the integer rule
@@ -371,7 +364,6 @@ _INTEGER_ARGUMENTS = [
     ("exact_parity_guesser", "channel", lambda v: exact_parity_guesser({v: 1}, 2, 2)),
     ("mirror_guess_acceptance", "n_blocks", lambda v: mirror_guess_acceptance(v, 2)),
     ("mirror_guess_acceptance", "block_len", lambda v: mirror_guess_acceptance(2, v)),
-    ("block_string_parity", "block_len", lambda v: block_string_parity((1, 1, 0, 0), v)),
     ("DelayBlocks", "blocks", lambda v: DelayBlocks([v])),
     ("ProtocolConfig", "n_blocks", lambda v: ProtocolConfig(v, 2)),
     ("ProtocolConfig", "block_len", lambda v: ProtocolConfig(2, v)),

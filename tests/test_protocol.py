@@ -15,6 +15,7 @@ from relqprot.parity import exact_parity_guesser
 from relqprot.protocol import (
     HONEST,
     PERP,
+    SILENT,
     AbortReason,
     AuditError,
     DelayBlocks,
@@ -544,18 +545,17 @@ def test_verification_reports_the_first_failing_channel():
     bits = np.array([[0, 1, 1, 0]] * 8)
     blocks = np.array([[0, 1, 1, 0]] * 8)
     outcomes = bits.copy()
-    taus = np.zeros(bits.shape)
     outcomes[1, 2] = 1 - bits[1, 2]  # wrong channel at 2, before ...
     outcomes[1, 3] = PERP  # ... an orthogonal outcome at 3
     outcomes[2, 1] = PERP
-    taus[3, 0], outcomes[3, 0] = 9.5, PERP  # silent beats perp on one channel
+    outcomes[3, 0] = SILENT  # no fire by full access at channel 0
     bits[4, 1] = -1  # channel 1 left undisclosed
     blocks[5] = [1, 0, 1, 1]  # block 0 has one channel, block 1 three
     bits[6] = outcomes[6] = [1, 0, 0, 1]
     blocks[6] = [1, 1, 0, 0]  # both blocks mixed; block 0 is checked first
     bits[7] = outcomes[7] = [0, 0, 1, 0]
     blocks[7] = [1, 0, 0, 1]  # block 0 (channels 1, 2) is mixed and holds no channel 0
-    code, channel = _verify_announcement(cfg, taus, outcomes, bits, blocks)
+    code, channel = _verify_announcement(cfg, outcomes, bits, blocks)
     reasons = [None if c == 0 else list(AbortReason)[c - 1] for c in code]
     assert reasons == [
         None,
@@ -647,17 +647,19 @@ def test_mirror_requires_the_coin_toss():
 
 def assert_classed_by_coordinates(cfg, batch, mirror=False):
     """A batch's outcome codes and verdicts are those of its placed
-    coordinates: the bit the state carries inside a hump window, PERP
-    anywhere else.  A mirror returns A's states, whatever bits it announces."""
+    coordinates: the bit the state carries inside a hump window, SILENT past
+    the full-access horizon, PERP anywhere else.  A mirror returns A's
+    states, whatever bits it announces."""
     front, rear = cfg.make_state().hump_windows()
     for taus, outcomes, bits, _ in filter(None, (batch.ab, batch.ba)):
         carried = batch.ab[2] if mirror else bits
-        assert np.array_equal(outcomes, np.where(front.contains(taus) | rear.contains(taus), carried, PERP))
-    code, channel = _verify_announcement(cfg, *batch.ab)
+        missed = np.where(taus > cfg.full_access_horizon, SILENT, PERP)
+        assert np.array_equal(outcomes, np.where(front.contains(taus) | rear.contains(taus), carried, missed))
+    code, channel = _verify_announcement(cfg, *batch.ab[1:])
     if not mirror:  # a mirroring peer checks nothing
         assert np.array_equal(batch.by_b, code != 0)
     if batch.ba is not None:
-        code_ba, channel_ba = _verify_announcement(cfg, *batch.ba)
+        code_ba, channel_ba = _verify_announcement(cfg, *batch.ba[1:])
         code, channel = np.where(batch.by_b, code, code_ba), np.where(batch.by_b, channel, channel_ba)
     assert np.array_equal(batch.code, code) and np.array_equal(batch.channel, channel)
 
@@ -707,6 +709,39 @@ def test_mirrored_outcomes_are_the_classes_of_the_shifted_coordinates(staged):
         batch = simulate(cfg, 400, seed, coin_toss=True, mirror=True, staged=staged)
         assert_classed_by_coordinates(cfg, batch, mirror=True)
         assert (batch.ba[1] == PERP).any()
+
+
+@pytest.mark.parametrize("xi", [1.0, 4.0])
+@pytest.mark.parametrize("options", [{}, {"coin_toss": True}])
+def test_tailed_outcomes_are_the_classes_of_the_coordinates(xi, options):
+    # a Gaussian fire outside both windows is PERP before full access and SILENT after it
+    cfg = config(4, 2, tail_exponent=xi)
+    batch = simulate(cfg, 2000, 11, **options)
+    assert_classed_by_coordinates(cfg, batch)
+    for arrays in filter(None, (batch.ab, batch.ba)):
+        assert {PERP, SILENT} <= set(arrays[1].ravel().tolist())
+    reasons = {list(AbortReason)[c - 1] for c in batch.code.tolist() if c}
+    assert {AbortReason.PERP_OUTCOME, AbortReason.SILENT_AT_FULL_ACCESS} <= reasons
+
+
+def test_delayed_gaussian_outcomes_are_classed():
+    # a delayed state that fails fires anywhere in the rear hump, its window
+    # included, so it is SILENT past full access and PERP before it
+    cfg = config(4, 2, tail_exponent=1.0)
+    batch = simulate(cfg, 2000, 12, delayed_blocks={0, 2})
+    taus, outcomes, bits, blocks = batch.ab
+    front, rear = cfg.make_state().hump_windows()
+    delayed, late = np.isin(blocks, [0, 2]), taus > cfg.full_access_horizon
+    honest = np.where(front.contains(taus) | rear.contains(taus), bits, np.where(late, SILENT, PERP))
+    assert np.array_equal(outcomes[~delayed], honest[~delayed])
+    assert np.array_equal(outcomes[delayed] == SILENT, late[delayed])
+    passed = delayed & (outcomes == bits)
+    assert rear.contains(taus[passed]).all()
+    assert (outcomes[delayed & ~passed & ~late] == PERP).all()
+    assert {PERP, SILENT} <= set(outcomes[delayed].tolist())
+    code, channel = _verify_announcement(cfg, *batch.ab[1:])
+    assert np.array_equal(batch.code, code) and np.array_equal(batch.channel, channel)
+    assert list(AbortReason).index(AbortReason.SILENT_AT_FULL_ACCESS) + 1 in code
 
 
 def test_compact_fires_are_classed_by_their_draws_only_with_a_margin():

@@ -36,8 +36,8 @@ def quad_overlap(delayed, honest):
     parts_d, parts_h = _parts(delayed), _parts(honest)
 
     def integrand(tau):
-        gd = sum(c * h.amplitude(tau) for c, h in parts_d)
-        gh = sum(c * h.amplitude(tau) for c, h in parts_h)
+        gd = sum(c * np.sqrt(h.density(tau)) for c, h in parts_d)
+        gh = sum(c * np.sqrt(h.density(tau)) for c, h in parts_h)
         return gd * gh
 
     total = 0.0
@@ -101,18 +101,10 @@ def test_tailed_window_masses(xi):
     assert 1.0 - covering <= math.exp(-xi)
 
 
-def test_translate_identity_and_bit():
-    s = StretchedState.create(1.0, 8.0, bit=1)
-    assert s.translated(0.0) == s
-    moved = s.translated(3.25)
-    assert moved.bit == 1
-    assert moved.translation == pytest.approx(3.25)
-
-
 def test_translate_shifted_front_mass():
     s = StretchedState.create(1.0, 8.0, bit=0)
     delta = 2.75
-    moved = s.translated(delta)
+    moved = StretchedState(Waveform(1.0, delta), Waveform(1.0, 8.0 + delta), 0)
     expected = 0.5 * quad_mass(s.front, -1.0, 1.0)
     assert abs(moved.window_mass(Window(-1 + delta, 1 + delta)) - expected) < 1e-12
 
@@ -126,9 +118,9 @@ def test_translate_shifted_front_mass():
 )
 def test_mass_is_translation_invariant(delta, lo, span, xi):
     s = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=xi)
-    w = Window(lo, lo + span)
-    before = s.window_mass(w)
-    after = s.translated(delta).window_mass(w.shifted(delta))
+    moved = StretchedState(Waveform(1.0, delta, xi), Waveform(1.0, 8.0 + delta, xi), 0)
+    before = s.window_mass(Window(lo, lo + span))
+    after = moved.window_mass(Window(lo + delta, lo + span + delta))
     assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -216,7 +208,7 @@ def test_delayed_overlap_rejects_front_cover():
         Waveform(0.7, center=7.9),
         Waveform(1.0, center=9.5),
         Waveform(2.0, center=5.0),
-        StretchedState.create(0.5, 4.0, 0, translation=4.5),
+        StretchedState(Waveform(0.5, 4.5), Waveform(0.5, 8.5), 0),
     ],
 )
 def test_delayed_overlap_never_beats_half(delayed):
@@ -247,8 +239,8 @@ def _agreement_cases():
         ("bump-outside", Waveform(1.0, center=20.0)),
         ("gauss-narrow-xi744", Waveform(0.1, center=8.3, tail_exponent=744.0)),
         ("gauss-wide-xi0.5", Waveform(3.0, center=9.0, tail_exponent=0.5)),
-        ("two-hump-bump", StretchedState.create(0.5, 4.0, 0, translation=4.5)),
-        ("two-hump-gauss", StretchedState.create(0.5, 4.0, 0, 3.0, translation=4.5)),
+        ("two-hump-bump", StretchedState(Waveform(0.5, 4.5), Waveform(0.5, 8.5), 0)),
+        ("two-hump-gauss", StretchedState(Waveform(0.5, 4.5, 3.0), Waveform(0.5, 8.5, 3.0), 0)),
     ]:
         cases.append(pytest.param(delayed, bump, id=f"{name}-vs-bump"))
         cases.append(pytest.param(delayed, gauss, id=f"{name}-vs-gauss"))
@@ -275,7 +267,7 @@ def test_gaussian_rear_copy_closed_form(xi, width, sep):
     # density times exp(-S^2 / (8 sigma^2)), so the rear copy passes with
     # 1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2)) M_mid(W)]^2
     s = StretchedState.create(width, sep, 0, xi)
-    mid = s.front.translated(0.5 * sep)
+    mid = Waveform(width, 0.5 * sep, xi)
     windows = s.hump_windows()
     m_rear = sum(s.rear.mass(w.lo, w.hi) for w in windows)
     m_mid = sum(mid.mass(w.lo, w.hi) for w in windows)
