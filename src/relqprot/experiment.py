@@ -159,9 +159,9 @@ def _z_score(successes: int, trials: int, reference: float) -> float:
 def _kernel_identification(config, options, trials, seed):
     state = config.make_state()
     rng = np.random.default_rng(seed)
-    taus = state.sample_fire_time(rng, trials)
+    # the draws die with the call, so no draw array is alive while the bits are drawn
+    fired = state._fired_by(state._fire_draws(rng, trials), config.tau_d)
     bits = rng.integers(0, 2, trials)
-    fired = taus <= config.tau_d
     successes = int(np.count_nonzero(fired | (bits == 0)))
     mass = state.window_mass(Window(-math.inf, config.tau_d))
     return successes, 1.0 - composite_error(mass, 0.0, 0.5)

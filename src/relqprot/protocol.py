@@ -320,19 +320,14 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
 @lru_cache(maxsize=None)
 def _class_bound(width: float, separation: float, tail_exponent: float | None, shift: float) -> float:
     """Least U of a compact draw from which its fire surely lies inside its
-    hump window, cached per geometry: u* = 2^-40 when the sampler's own
-    placement of t = +-sqrt(1 - sqrt(u*)) in both humps, moved by ``shift``,
-    lies strictly inside the windows, and inf otherwise or for the Gaussian.
-    As |t| <= sqrt(1 - sqrt(U)) and each rounded step of the placement is
-    monotone, a fire with U >= u* lies between those four, before full access.
-    """
+    hump window, cached per geometry: u* = 2^-40 when the sampler's extreme
+    fires at u*, moved by ``shift``, lie strictly inside their windows (so
+    before full access), and inf otherwise or for the Gaussian."""
     state, u = StretchedState.create(width, separation, 0, tail_exponent), 2.0**-40
-    if not state.front.is_compact:
+    if (fires := state._extreme_fires(u)) is None:
         return math.inf
-    rear, v = np.array([False, False, True, True]), np.array([0.0, 0.5, 0.0, 0.5])
-    taus = state._place_fires((rear, (np.full(4, u), v))) + shift
-    front_window, rear_window = state.hump_windows()
-    return u if np.where(rear, rear_window.contains(taus), front_window.contains(taus)).all() else math.inf
+    taus, (front, rear) = np.add(fires, shift), state.hump_windows()
+    return u if front.contains(taus[:2]).all() and rear.contains(taus[2:]).all() else math.inf
 
 
 def _placed(taus):
@@ -453,7 +448,7 @@ def simulate(
         raise ValueError("a delaying sender takes part in the bit commitment only")
     if any(not 0 <= b < config.n_blocks for b in delayed_blocks):
         raise ValueError("delayed block index out of range")
-    rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(_natural("rng", rng) if isinstance(rng, (int, np.integer)) else rng)
     state = config.make_state()
     parity_a, blocks_a, bits_a = sample_secret(config, trials, rng)
     if coin_toss and not mirror:
@@ -606,7 +601,7 @@ def run_bit_commitment(
     if not isinstance(strategy_b, (Honest, EarlyGuess)):
         raise ValueError("receiver strategy must be Honest or EarlyGuess")
     delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
-    seed = config.master_seed if seed is None else seed
+    seed = config.master_seed if seed is None else _natural("seed", seed)
     batch = simulate(config, 1, seed, delayed_blocks=delayed)
     emits = [_EMIT_BC % (c, "true" if b in delayed else "false")
              for c, b in enumerate(batch.ab[3][0].tolist())]
@@ -637,7 +632,7 @@ def run_coin_toss(
     if not isinstance(strategy_b, (Honest, EarlyGuess, SendBack)):
         raise ValueError("peer strategy must be Honest, EarlyGuess, or SendBack")
     mirror = isinstance(strategy_b, SendBack)
-    seed = config.master_seed if seed is None else seed
+    seed = config.master_seed if seed is None else _natural("seed", seed)
     batch = simulate(
         config, 1, seed, coin_toss=True, mirror=mirror, staged=enforce_half_disclosure
     )

@@ -231,6 +231,26 @@ class StretchedState:
         taus = self.front._place(draws[1])
         return np.add(taus, self.separation, out=taus, where=draws[0])
 
+    def _fired_by(self, draws, horizon: float):
+        """Whether each fire of ``_fire_draws`` lies at or before ``horizon``,
+        written over the hump coins: the coin alone decides when every front
+        fire the sampler can place is at most the horizon and every rear fire past it."""
+        fires = self._extreme_fires(0.0)
+        if fires is not None and fires[0] <= horizon < fires[3]:
+            return np.logical_not(draws[0], out=draws[0])
+        return np.less_equal(self._place_fires(draws), horizon, out=draws[0])
+
+    @lru_cache(maxsize=None)
+    def _extreme_fires(self, u: float):
+        """The sampler's own placement of U = ``u``, V in {0, 1/2} in the front,
+        then the rear hump (top, bottom, top, bottom), None for the Gaussian.  As
+        |t| <= sqrt(1 - sqrt(U)) and each rounded step of the placement is
+        monotone, a compact fire with U >= u lies between its hump's two."""
+        if not self.front.is_compact:
+            return None
+        rear, v = np.array([False, False, True, True]), np.array([0.0, 0.5, 0.0, 0.5])
+        return tuple(self._place_fires((rear, (np.full(4, u), v))).tolist())
+
 
 def _amplitude_parts(state) -> list[tuple[float, Waveform]]:
     if isinstance(state, Waveform):

@@ -256,6 +256,61 @@ def test_engine_sweeps_keep_their_bytes():
     assert digest.hexdigest() == "488188c33a482f341d8f0d3556adbe0c8c36dad10921a3bed2d567d6e7822009"
 
 
+def test_identification_sweeps_keep_their_bytes():
+    # the default tau_d, width + separation / 2, lies in the hump gap but at
+    # width 3, where it lies in the rear hump, as 7.5 does at widths 1 and 3;
+    # 5.0 is the rear hump's lower edge at width 3, separation 8, and 3.25
+    # the gap at width 3, separation 6.5
+    digest = hashlib.sha256()
+    for grid in [{"width": [1e-15, 1.0, 3.0], "separation": [6.5, 8.0]},
+                 {"tau_d": [5.0, 7.5], "width": [1e-15, 1.0, 3.0], "separation": 8.0},
+                 {"tau_d": 3.25, "width": 3.0, "separation": 6.5}]:
+        digest.update(cells_to_csv(run_experiment(spec(grid=grid, trials=20_000))).encode())
+    assert digest.hexdigest() == "a186439fb8c5d9786e072b6655cba7a3d8b649263e2cdfeafd36a30a8dfad236"
+
+
+class _ExtremeDraws(np.random.Generator):
+    """Hump coins that alternate, every U 0 and V in {0, 1/2}, so the sampler
+    places each fire on an extreme of its hump; every bit is 1, so a success
+    is a fire."""
+
+    calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return np.resize([[0.0, 0.5], [0.0], [0.0, 0.0, 0.5, 0.5]][self.calls - 1], size)
+
+    def integers(self, low, high=None, size=None):
+        return np.ones(size, np.int64)
+
+
+@pytest.mark.parametrize("tau_d, fires", [
+    (7.999999999999999, 6),  # the rear hump's lower extreme, a tie that fires
+    (np.nextafter(7.999999999999999, 0.0), 4),
+    (np.nextafter(1e-15, 1.0), 4),  # one ulp past the front hump's upper extreme
+])
+def test_identification_classes_extreme_fires_as_their_placement(tau_d, fires):
+    cfg = ProtocolConfig(1, 1, width=1e-15, separation=8.0, disclosure_time=tau_d)
+    state = cfg.make_state()
+    assert state._extreme_fires(0.0)[::3] == (1e-15, 7.999999999999999)
+    placed = state.sample_fire_time(_ExtremeDraws(np.random.PCG64(0)), 8) <= tau_d
+    successes, _ = experiment._kernel_identification(cfg, {}, 8, _ExtremeDraws(np.random.PCG64(0)))
+    assert successes == np.count_nonzero(placed) == fires
+
+
+@pytest.mark.parametrize("tau_d", [None, 7.5], ids=["hump-gap", "rear-hump"])
+def test_identification_kernel_peak_memory(tau_d):
+    # the coins, U and V at most: no draw array is alive when the bits are drawn
+    cfg = ProtocolConfig(1, 1, disclosure_time=tau_d)
+    tracemalloc.start()
+    try:
+        experiment._kernel_identification(cfg, {}, 10**6, (0, 1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18e6
+
+
 def test_engine_chunks_cover_every_trial(monkeypatch):
     monkeypatch.setattr(experiment, "_CHUNK_ELEMENTS", 12)  # 3 trials per chunk
     (cell,) = run_experiment(spec(scenario="bc_honest",

@@ -263,6 +263,17 @@ def test_simulate_rejects_a_trial_count_that_is_not_a_count(trials):
     assert simulate(ProtocolConfig(2, 2), np.int64(0), 0).code.shape == (0,)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: simulate(ProtocolConfig(2, 2), 5, -1), "rng"),
+    (lambda: run_bit_commitment(ProtocolConfig(2, 2), seed=-1), "seed"),
+    (lambda: run_coin_toss(ProtocolConfig(2, 2), seed=-3), "seed"),
+], ids=["simulate", "bit-commitment", "coin-toss"])
+def test_a_negative_seed_is_rejected_by_its_name(call, name):
+    # was numpy's "expected non-negative integer", which names no argument
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+        call()
+
+
 # ------------------------------------------------- block reassignment immunity
 
 
