@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .measurement import composite_error
-from .parity import _evidence_weights, _integer, _natural, pc_parity_optimal
+from .parity import _integer, _natural, _optimal_guesses, pc_parity_optimal
 from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .protocol import (
     ProtocolConfig,
@@ -167,19 +167,6 @@ def _kernel_identification(config, options, trials, seed):
     return successes, 1.0 - composite_error(mass, 0.0, 0.5)
 
 
-def _optimal_guesses(n, k, ones, zeros):
-    """Per-trial optimal parity guess from fired ones and zeros, read from a table
-    filled only at the keys that occur; odd only if strictly heavier (ties to 0)."""
-    size = n * k + 1
-    keys = ones * size
-    keys += zeros
-    seen = np.flatnonzero(np.bincount(keys))
-    weights = (_evidence_weights(n, k, *divmod(int(key), size)) for key in seen)
-    table = np.zeros(size * size, dtype=bool)
-    table[seen] = [odd > even for even, odd in weights]
-    return table[keys]
-
-
 def _block_column(rng, k, trials):
     """One block's value per trial, the low bit of k + 1 uniform bits drawn in words
     of at most 63, and its fires, Bin(k, 1/2): the popcount of the other k bits."""
@@ -210,7 +197,7 @@ def _kernel_parity_guess(config, options, trials, seed):
 
 def _kernel_cheat_detection(config, options, trials, seed):
     m, k = options["delayed_blocks"], config.block_len
-    p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
+    p_pass = _delay_pass_probability(config.make_state())
     coins = np.random.default_rng(seed).random((trials, m * k))
     return int(np.count_nonzero(np.all(coins < p_pass, axis=1))), 0.5 ** (m * k)
 

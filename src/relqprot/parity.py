@@ -199,9 +199,7 @@ def parity_posterior(
         raise ValueError("fired ones count out of range")
     even, odd = _evidence_weights(n_blocks, block_len, fired_ones, n_fired - fired_ones)
     if even == odd == 0:
-        raise InconsistentEvidenceError(
-            "no valid block string is consistent with the fired outcomes"
-        )
+        raise InconsistentEvidenceError("no valid block string is consistent with the fired outcomes")
     scale = comb(n_channels, n_fired) * comb(n_fired, fired_ones)
     return Fraction(even, scale), Fraction(odd, scale)
 
@@ -209,6 +207,28 @@ def parity_posterior(
 class ParityGuess(NamedTuple):
     guess: int
     confidence: float
+
+
+def _optimal_guess(n_blocks: int, block_len: int, ones: int, zeros: int) -> ParityGuess:
+    """The optimal guess at a (fired ones, fired zeros) pair, odd only if strictly
+    heavier (ties to 0); the int division rounds the exact posterior as float(Fraction) does."""
+    even, odd = _evidence_weights(n_blocks, block_len, ones, zeros)
+    if even == odd == 0:
+        raise InconsistentEvidenceError("no valid block string is consistent with the fired outcomes")
+    return ParityGuess(int(odd > even), max(even, odd) / (even + odd))
+
+
+def _optimal_guesses(n, k, ones, zeros):
+    """Per-trial optimal parity guess from fired ones and zeros, read from a table filled
+    only at the keys that occur; odd only if strictly heavier, so ties and 0/0 go to 0."""
+    size = n * k + 1
+    keys = ones * size
+    keys += zeros
+    seen = np.flatnonzero(np.bincount(keys))
+    weights = (_evidence_weights(n, k, *divmod(int(key), size)) for key in seen)
+    table = np.zeros(size * size, dtype=bool)
+    table[seen] = [odd > even for even, odd in weights]
+    return table[keys]
 
 
 def exact_parity_guesser(
@@ -223,16 +243,11 @@ def exact_parity_guesser(
     so the break introduces no bias).
     """
     n_blocks, block_len = _validate_nk(n_blocks, block_len)
-    n_channels = n_blocks * block_len
-    fired_ones = 0
+    n_channels, fired_ones = n_blocks * block_len, 0
     for channel, bit in fired.items():
         if not 0 <= _integer("channel", channel) < n_channels:
             raise ValueError(f"channel {channel} out of range")
-        if _integer("fired bit", bit) not in (0, 1):
+        if (bit := _integer("fired bit", bit)) not in (0, 1):
             raise ValueError("fired values must be bits")
         fired_ones += bit
-    even, odd = parity_posterior(n_blocks, block_len, n_channels - len(fired), fired_ones)
-    total = even + odd
-    if even >= odd:
-        return ParityGuess(0, float(even / total))
-    return ParityGuess(1, float(odd / total))
+    return _optimal_guess(n_blocks, block_len, fired_ones, len(fired) - fired_ones)

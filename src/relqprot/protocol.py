@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .parity import _evidence_weights, _integer, _natural, _validate_nk
+from .parity import _integer, _natural, _optimal_guess, _validate_nk
 from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
 from .wavepacket import StretchedState, delayed_overlap
 
@@ -287,18 +287,14 @@ class Batch:
 
 
 @lru_cache(maxsize=None)
-def _delay_pass_probability(
-    width: float, separation: float, tail_exponent: float | None
-) -> float:
-    """Best verification-pass probability of a whole-block delayer.
+def _delay_pass_probability(honest: StretchedState) -> float:
+    """Best verification-pass probability of a whole-block delayer against ``honest``.
 
-    The most favorable delayed state is an exact copy of the rear hump, which
-    saturates the overlap bound: 1/2 for the compact bump, returned as
-    0.5000000000000001 (one ulp above, rounding in the overlap sum), and
-    1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2)) M_mid(W)]^2 for the Gaussian,
-    both from the closed-form ``delayed_overlap``, cached per geometry.
+    The most favorable delayed state is an exact copy of the rear hump, which saturates
+    the overlap bound: 1/2 for the compact bump, returned as 0.5000000000000001 (one ulp
+    above, rounding in the overlap sum), and 1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2))
+    M_mid(W)]^2 for the Gaussian, both from the closed-form ``delayed_overlap``, cached per state.
     """
-    honest = StretchedState.create(width, separation, 0, tail_exponent)
     return delayed_overlap(honest.rear, honest)
 
 
@@ -317,19 +313,6 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
     return values.sum(axis=1) % 2, blocks, values[np.arange(trials)[:, None], blocks]
 
 
-@lru_cache(maxsize=None)
-def _class_bound(width: float, separation: float, tail_exponent: float | None, shift: float) -> float:
-    """Least U of a compact draw from which its fire surely lies inside its
-    hump window, cached per geometry: u* = 2^-40 when the sampler's extreme
-    fires at u*, moved by ``shift``, lie strictly inside their windows (so
-    before full access), and inf otherwise or for the Gaussian."""
-    state, u = StretchedState.create(width, separation, 0, tail_exponent), 2.0**-40
-    if (fires := state._extreme_fires(u)) is None:
-        return math.inf
-    taus, (front, rear) = np.add(fires, shift), state.hump_windows()
-    return u if front.contains(taus[:2]).all() and rear.contains(taus[2:]).all() else math.inf
-
-
 def _placed(taus):
     """Fire coordinates as ``_sample_outcomes`` returned them, placed if it deferred them."""
     return taus() if callable(taus) else taus
@@ -341,13 +324,13 @@ def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
     past the full-access horizon (the rear window's end) it is SILENT, and
     anywhere else it lands in the orthogonal complement.
 
-    When every U of the draw is at least the geometry's class bound, every
+    When every U of the draw is at least the state's class bound, every
     fire lies in its window before full access, so the codes are a copy of
     the bits (the delayed path writes them) and the coordinates a call, made
     once, that places the draws.
     """
     draws = state._fire_draws(rng, bits.shape)
-    bound = _class_bound(state.front.width, state.separation, state.front.tail_exponent, shift)
+    bound = state._class_bound(shift)
     if bound < math.inf and draws[1][0].min(initial=math.inf) >= bound:
         return lambda: state._place_fires(draws) + shift, bits.copy()
     taus = state._place_fires(draws) + shift
@@ -456,7 +439,7 @@ def simulate(
     taus, outcomes = _sample_outcomes(state, bits_a, rng)
     if delayed_blocks:
         taus = _placed(taus)
-        p_pass = _delay_pass_probability(config.width, config.separation, config.tail_exponent)
+        p_pass = _delay_pass_probability(state)
         delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
         count = int(np.count_nonzero(delayed))
         q, passed = rng.random(count), rng.random(count) < p_pass
@@ -550,10 +533,7 @@ def _render(config, batch, starts, phases, early_guess, verdict_actor, verdict_p
         taus, outcomes, _, _ = cols["A->B"]
         visible = {c: o for c, (tau, o) in enumerate(zip(taus, outcomes)) if tau <= tau_d and o != PERP}
         ones = sum(visible.values())
-        # the optimal guess from the counts: odd only if heavier, and the
-        # int division rounds the exact posterior as float(Fraction) does
-        even, odd = _evidence_weights(config.n_blocks, config.block_len, ones, len(visible) - ones)
-        guess, confidence = int(odd > even), max(even, odd) / (even + odd)
+        guess, confidence = _optimal_guess(config.n_blocks, config.block_len, ones, len(visible) - ones)
         fired = {str(c): b for c, b in visible.items()}
         late.append((t_d, [_encode(t_d, "B", "early_guess", {
             "fired": fired, "direction": "A->B", "guess": guess, "confidence": confidence})]))
@@ -674,11 +654,19 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
     return Fraction(1, 2 ** ((n_blocks // 2) * block_len))
 
 
+# The types of the fields the audit compares or iterates; a bool is none of them.
+_FIELD_TYPES = {"t": (int, float, np.integer, np.floating), "phase": (int, np.integer),
+                "fired": (dict,), "direction": (str,)}
+
+
 def _field(event: Event, name: str):
-    """A payload field the audit reads, which a transcript read from a file may lack."""
-    if name not in event.payload:
+    """``t`` or a payload field the audit reads, which a file may lack or carry as another type."""
+    if name != "t" and name not in event.payload:
         raise AuditError(f"{event.kind} event without {name}")
-    return event.payload[name]
+    value = event.t if name == "t" else event.payload[name]
+    if name in _FIELD_TYPES and (isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name])):
+        raise AuditError(f"{event.kind} event with a {type(value).__name__} {name}")
+    return value
 
 
 def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
@@ -694,7 +682,7 @@ def audit_transcript(transcript: Transcript, config: ProtocolConfig) -> None:
     view = transcript._view
     if view is None:  # the view _render keeps of its columns, read off the events
         events = transcript.events
-        view = ([e.t for e in events],
+        view = ([_field(e, "t") for e in events],
                 [(e.t, _field(e, "phase")) for e in events if e.kind == "disclose"],
                 [(e.t, _field(e, "direction"), _field(e, "fired"))
                  for e in events if e.kind == "early_guess"],

@@ -130,13 +130,8 @@ class Waveform:
             return self.center + self.width * (2.0 / np.pi) * np.arcsin(t)
         return self.center + self.sigma * ndtri(q)
 
-    def sample(self, rng, size):
-        """Draw ``size`` coordinates from uniforms or standard normals alone,
-        with at most two arrays of ``size`` floats alive at once."""
-        return self._place(self._draws(rng, size))
-
     def _draws(self, rng, size):
-        """The generator calls of a sample: U then V for the bump, normals for the Gaussian."""
+        """The generator calls of ``size`` coordinates: U then V for the bump, normals for the Gaussian."""
         return (rng.random(size), rng.random(size)) if self.is_compact else (rng.standard_normal(size),)
 
     def _place(self, draws):
@@ -216,14 +211,8 @@ class StretchedState:
         """Nominal per-hump localization windows used by the verification."""
         return (Window(*self.front.nominal_interval), Window(*self.rear.nominal_interval))
 
-    def sample_fire_time(self, rng, size):
-        """Draw an array of outcome coordinates from the two-hump density: a
-        fair coin picks the hump, then one profile draw places the outcome
-        in it."""
-        return self._place_fires(self._fire_draws(rng, size))
-
     def _fire_draws(self, rng, size):
-        """The generator calls of a fire time: the hump coins, then the profile's draws."""
+        """The generator calls of ``size`` fire times: the hump coins, then the profile's draws."""
         return rng.random(size) < 0.5, self.front._draws(rng, size)
 
     def _place_fires(self, draws):
@@ -250,6 +239,17 @@ class StretchedState:
             return None
         rear, v = np.array([False, False, True, True]), np.array([0.0, 0.5, 0.0, 0.5])
         return tuple(self._place_fires((rear, (np.full(4, u), v))).tolist())
+
+    @lru_cache(maxsize=None)
+    def _class_bound(self, shift: float) -> float:
+        """Least U of a compact draw from which its fire, moved by ``shift``, surely
+        lies inside its hump window (so before full access): u* = 2^-40 when the
+        extreme fires at u* lie strictly inside theirs, and inf otherwise or for the Gaussian."""
+        u = 2.0**-40
+        if (fires := self._extreme_fires(u)) is None:
+            return math.inf
+        taus, (front, rear) = np.add(fires, shift), self.hump_windows()
+        return u if front.contains(taus[:2]).all() and rear.contains(taus[2:]).all() else math.inf
 
 
 def _amplitude_parts(state) -> list[tuple[float, Waveform]]:

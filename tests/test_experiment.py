@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from relqprot import experiment
+from relqprot import experiment, parity
 from relqprot.experiment import (
     ExperimentSpec,
     cells_to_csv,
@@ -293,7 +293,7 @@ def test_identification_classes_extreme_fires_as_their_placement(tau_d, fires):
     cfg = ProtocolConfig(1, 1, width=1e-15, separation=8.0, disclosure_time=tau_d)
     state = cfg.make_state()
     assert state._extreme_fires(0.0)[::3] == (1e-15, 7.999999999999999)
-    placed = state.sample_fire_time(_ExtremeDraws(np.random.PCG64(0)), 8) <= tau_d
+    placed = state._place_fires(state._fire_draws(_ExtremeDraws(np.random.PCG64(0)), 8)) <= tau_d
     successes, _ = experiment._kernel_identification(cfg, {}, 8, _ExtremeDraws(np.random.PCG64(0)))
     assert successes == np.count_nonzero(placed) == fires
 
@@ -328,7 +328,7 @@ def test_kernel_guess_is_the_exact_guesser_at_every_pair():
             nk = n * k
             pairs = [(a, b) for a in range(nk + 1) for b in range(nk + 1 - a)]
             ones, zeros = np.array(pairs).T
-            guesses = experiment._optimal_guesses(n, k, ones, zeros)
+            guesses = parity._optimal_guesses(n, k, ones, zeros)
             for (a, b), guess in zip(pairs, guesses.tolist()):
                 try:
                     expected = exact_parity_guesser({c: int(c < a) for c in range(a + b)}, n, k)

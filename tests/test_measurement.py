@@ -138,7 +138,7 @@ def test_k_delayed_states_all_pass_with_exponential_rate(k):
 )
 def test_admissible_delayed_states_pass_at_most_half(delayed):
     # the engine's delayer sends the rear-hump copy, the best admissible state
-    best = _delay_pass_probability(1.0, 8.0, None)
+    best = _delay_pass_probability(make_state(0))
     assert delayed_overlap(delayed, make_state(0)) <= best + 1e-9
     assert best <= 0.5 + 1e-9
 

@@ -24,7 +24,8 @@ def test_removed_names_are_not_exported():
     assert not hasattr(relqprot.parity, "block_string_parity")
     for owner, name in [(relqprot.Waveform, "amplitude"), (relqprot.Waveform, "translated"),
                         (relqprot.Window, "shifted"), (relqprot.StretchedState, "translated"),
-                        (relqprot.StretchedState, "translation")]:
+                        (relqprot.StretchedState, "translation"), (relqprot.Waveform, "sample"),
+                        (relqprot.StretchedState, "sample_fire_time")]:
         assert not hasattr(owner, name)
     with pytest.raises(TypeError, match="translation"):
         relqprot.StretchedState.create(1.0, 8.0, 0, translation=4.5)

@@ -258,6 +258,23 @@ def test_guesser_examples():
     assert exact_parity_guesser({0: 1}, 2, 1) == (0, 0.5)
 
 
+def test_guesser_agrees_with_the_posterior_at_every_pair():
+    # the guesser reads the integer weights, not the posterior's Fractions
+    ties = 0
+    for n, k in product(range(1, 7), range(1, 5)):
+        pairs = [(ones, zeros) for ones in range(n * k + 1) for zeros in range(n * k + 1 - ones)]
+        for ones, zeros in pairs:
+            try:
+                even, odd = parity_posterior(n, k, n * k - ones - zeros, ones)
+            except InconsistentEvidenceError:
+                continue
+            got = exact_parity_guesser({c: int(c < ones) for c in range(ones + zeros)}, n, k)
+            assert got.guess == int(odd > even), (n, k, ones, zeros)
+            assert got.confidence.hex() == float(max(even, odd) / (even + odd)).hex(), (n, k, ones, zeros)
+            ties += even == odd
+    assert ties > 0  # a tie goes to 0 in both
+
+
 def test_guesser_certain_when_both_values_seen_small_blocks():
     # any 1 and any 0 visible pins the single one-block, hence the parity
     guess, conf = exact_parity_guesser({0: 1, 3: 0}, 2, 2)

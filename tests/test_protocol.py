@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relqprot.experiment import _optimal_guesses
-from relqprot.parity import exact_parity_guesser
+from relqprot.parity import _optimal_guesses, exact_parity_guesser
 from relqprot.protocol import (
     HONEST,
     PERP,
@@ -24,7 +23,6 @@ from relqprot.protocol import (
     ProtocolConfig,
     SendBack,
     Transcript,
-    _class_bound,
     _verify_announcement,
     audit_transcript,
     mirror_guess_acceptance,
@@ -470,7 +468,9 @@ def cite(events, edit):
     lambda fired: {**fired, "0": True},  # was accepted as the bit 1
     lambda fired: {"x": 1},  # was a ValueError from int()
     lambda fired: {"00": 1},  # was read as channel 0
-], ids=["float-bit", "bool-bit", "non-decimal-key", "padded-key"])
+    lambda fired: list(fired),  # was an AttributeError from .items()
+    lambda fired: "0",  # likewise
+], ids=["float-bit", "bool-bit", "non-decimal-key", "padded-key", "list", "string"])
 def test_audit_rejects_a_malformed_citation(edit):
     cfg = config(2, 1)
     res = run_bit_commitment(cfg, strategy_b=EarlyGuess(), seed=1)
@@ -516,6 +516,26 @@ def test_audit_rejects_an_event_without_a_field_it_reads(kind, field):
     target = next(e for e in events if e.kind == kind)
     del target.payload[field]
     with pytest.raises(AuditError, match=f"^{kind} event without {field}$"):
+        audit_transcript(Transcript(events), cfg)
+
+
+@pytest.mark.parametrize("phase, field, value", [
+    (2, "phase", "2"),  # was a TypeError from sorting "2" with 1
+    (2, "phase", True),  # was accepted as phase 1
+    (1, "t", "5"),  # tau_d as text: np.asarray took it, the horizon check raised a TypeError
+    (1, "t", None),  # likewise, as NaN
+    (1, "t", False),
+])
+def test_audit_rejects_a_field_of_another_type(phase, field, value):
+    cfg = config(3, 2)
+    events = run_coin_toss(cfg, seed=3).transcript.events
+    audit_transcript(Transcript(events), cfg)
+    target = next(e for e in events if e.kind == "disclose" and e.payload["phase"] == phase)
+    if field == "t":
+        events[events.index(target)] = Event(value, target.actor, target.kind, target.payload)
+    else:
+        target.payload[field] = value
+    with pytest.raises(AuditError, match=f"^disclose event with a {type(value).__name__} {field}$"):
         audit_transcript(Transcript(events), cfg)
 
 
@@ -757,10 +777,13 @@ def test_delayed_gaussian_outcomes_are_classed():
 
 def test_compact_fires_are_classed_by_their_draws_only_with_a_margin():
     # the bound below which a U sends a call to the coordinates
-    assert _class_bound(1.0, 8.0, None, 0.0) == _class_bound(1e-10, 8.0, None, 0.0) == 2.0**-40
+    def bound(width, separation, tail_exponent, shift):
+        return StretchedState.create(width, separation, 0, tail_exponent)._class_bound(shift)
+
+    assert bound(1.0, 8.0, None, 0.0) == bound(1e-10, 8.0, None, 0.0) == 2.0**-40
     for geometry in [(1e-15, 8.0, None, 0.0), (1e-14, 8.0, None, 0.0),
                      (1.0, 8.0, None, 0.7), (1.0, 8.0, 4.0, 0.0)]:
-        assert _class_bound(*geometry) == math.inf
+        assert bound(*geometry) == math.inf
 
 
 @pytest.mark.parametrize("coin_toss", [False, True])
@@ -774,9 +797,9 @@ def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss):
     sample_secret(cfg, 300, rng)
     if coin_toss:
         sample_secret(cfg, 300, rng)
-    assert np.array_equal(first[0], state.sample_fire_time(rng, shape))
+    assert np.array_equal(first[0], state._place_fires(state._fire_draws(rng, shape)))
     if coin_toss:
-        assert np.array_equal(batch.ba[0], state.sample_fire_time(rng, shape))
+        assert np.array_equal(batch.ba[0], state._place_fires(state._fire_draws(rng, shape)))
     assert_classed_by_coordinates(cfg, batch)
 
 

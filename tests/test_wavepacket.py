@@ -141,7 +141,7 @@ def test_ppf_inverts_cdf():
     ids=["bump", "narrow-shifted-bump", "gaussian"],
 )
 def test_sampler_matches_cdf(wf):
-    x = wf.sample(np.random.default_rng(2026), 1_000_000)
+    x = wf._place(wf._draws(np.random.default_rng(2026), 1_000_000))
     # 1.36e-3 is the 5% critical value of the KS distance at 1e6 draws
     assert stats.kstest(x, wf.cdf).statistic < 1.36e-3
     lo, hi = wf.support
@@ -151,7 +151,8 @@ def test_sampler_matches_cdf(wf):
 def test_bump_sampler_moments():
     # t = sin(pi u / 2) has t^2 ~ Beta(1/2, 5/2): E t^2 = 1/6, E t^4 = 1/16
     n = 1_000_000
-    s = np.sin(0.5 * np.pi * Waveform(1.0).sample(np.random.default_rng(7), n)) ** 2
+    wf = Waveform(1.0)
+    s = np.sin(0.5 * np.pi * wf._place(wf._draws(np.random.default_rng(7), n))) ** 2
     for power, mean, second in [(1, 1 / 6, 1 / 16), (2, 1 / 16, 7 / 384)]:
         sigma = math.sqrt((second - mean * mean) / n)
         assert abs(np.mean(s**power) - mean) < 4 * sigma
@@ -162,7 +163,7 @@ def test_fire_time_sampler_holds_at_most_two_float_arrays():
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        s.sample_fire_time(rng, 10**6)
+        s._place_fires(s._fire_draws(rng, 10**6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,7 +174,7 @@ def test_sampled_fire_times_match_window_mass():
     rng = np.random.default_rng(1234)
     s = StretchedState.create(1.0, 8.0, bit=0)
     n = 100_000
-    taus = s.sample_fire_time(rng, size=n)
+    taus = s._place_fires(s._fire_draws(rng, n))
     for horizon in [-0.5, 1.0, 4.0, 7.5, 9.0]:
         p = s.window_mass(Window(-INF, horizon)) if horizon > -1 else 0.0
         freq = np.count_nonzero(taus <= horizon) / n
