@@ -25,7 +25,7 @@ import numpy as np
 
 from .parity import _integer, _natural, _optimal_guess, _validate_nk
 from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
-from .wavepacket import StretchedState, delayed_overlap
+from .wavepacket import PERP, SILENT, StretchedState, delayed_overlap  # noqa: F401  (SILENT re-exported)
 
 __all__ = [
     "AbortReason",
@@ -65,10 +65,7 @@ class AbortReason(str, Enum):
 _REASONS = tuple(AbortReason)
 _CODE = {reason: i + 1 for i, reason in enumerate(_REASONS)}
 
-# Outcome codes: 0 and 1 are the internal bit an outcome revealed, PERP the
-# orthogonal complement, SILENT no fire by full access.  This is the only
-# mapping from codes to text; a silent channel writes no detection.
-PERP, SILENT = 2, 3
+# The text of outcome codes 0, 1 and PERP (from ``wavepacket``); a SILENT channel writes none.
 _OUTCOME_TEXT = ("ch0", "ch1", "perp")
 
 
@@ -314,29 +311,8 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
 
 
 def _placed(taus):
-    """Fire coordinates as ``_sample_outcomes`` returned them, placed if it deferred them."""
+    """Fire coordinates as ``StretchedState._outcomes`` returned them, placed if it deferred them."""
     return taus() if callable(taus) else taus
-
-
-def _sample_outcomes(state: StretchedState, bits, rng, shift: float = 0.0):
-    """Fire coordinates (moved by ``shift`` on the receiver's light cone) and
-    outcome codes: inside a nominal hump window an outcome reveals the bit,
-    past the full-access horizon (the rear window's end) it is SILENT, and
-    anywhere else it lands in the orthogonal complement.
-
-    When every U of the draw is at least the state's class bound, every
-    fire lies in its window before full access, so the codes are a copy of
-    the bits (the delayed path writes them) and the coordinates a call, made
-    once, that places the draws.
-    """
-    draws = state._fire_draws(rng, bits.shape)
-    bound = state._class_bound(shift)
-    if bound < math.inf and draws[1][0].min(initial=math.inf) >= bound:
-        return lambda: state._place_fires(draws) + shift, bits.copy()
-    taus = state._place_fires(draws) + shift
-    front, rear = state.hump_windows()
-    missed = np.where(taus > rear.hi, SILENT, PERP)
-    return taus, np.where(front.contains(taus) | rear.contains(taus), bits, missed)
 
 
 def _mirror_plan(config: ProtocolConfig, bits):
@@ -436,18 +412,12 @@ def simulate(
     parity_a, blocks_a, bits_a = sample_secret(config, trials, rng)
     if coin_toss and not mirror:
         parity_b, blocks_b, bits_b = sample_secret(config, trials, rng)
-    taus, outcomes = _sample_outcomes(state, bits_a, rng)
-    if delayed_blocks:
+    taus, outcomes = state._outcomes(rng, bits_a)
+    if delayed_blocks:  # the honest draws of the delayed channels are thrown away
         taus = _placed(taus)
-        p_pass = _delay_pass_probability(state)
         delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
-        count = int(np.count_nonzero(delayed))
-        q, passed = rng.random(count), rng.random(count) < p_pass
-        # a passing state fired in the rear window: draw from the profile there
-        lo, hi = state.rear.cdf(state.rear.nominal_interval)
-        fired = taus[delayed] = state.rear.ppf(np.where(passed, lo + q * (hi - lo), q))
-        missed = np.where(fired > config.full_access_horizon, SILENT, PERP)
-        outcomes[delayed] = np.where(passed, bits_a[delayed], missed)
+        p_pass = _delay_pass_probability(state)
+        taus[delayed], outcomes[delayed] = state._rear_copies(rng, bits_a[delayed], p_pass)
     ab = (taus, outcomes, bits_a, blocks_a)
     if mirror:  # the mirroring peer checks nothing
         code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)
@@ -458,7 +428,7 @@ def simulate(
         return Batch(code, channel, by_b, parity_a, None, ab)
 
     if mirror:
-        taus, outcomes = _sample_outcomes(state, bits_a, rng, shift=config.channel_delay)
+        taus, outcomes = state._outcomes(rng, bits_a, shift=config.channel_delay)
         bits_b, blocks_b, parity_b = bits_a, blocks_a, parity_a
         if staged:
             hidden = blocks_a >= _phase_one_blocks(config)
@@ -467,7 +437,7 @@ def simulate(
             blocks_b = _mirror_plan(config, bits_b)
             parity_b = bits_b.sum(axis=1) // config.block_len % 2  # made up, so from bits
     else:
-        taus, outcomes = _sample_outcomes(state, bits_b, rng)
+        taus, outcomes = state._outcomes(rng, bits_b)
     ba = (taus, outcomes, bits_b, blocks_b)
     code_ba, channel_ba = _verify_announcement(config, *ba[1:])
     code, channel = np.where(by_b, code, code_ba), np.where(by_b, channel, channel_ba)
@@ -656,16 +626,18 @@ def mirror_guess_acceptance(n_blocks: int, block_len: int) -> Fraction:
 
 # The types of the fields the audit compares or iterates; a bool is none of them.
 _FIELD_TYPES = {"t": (int, float, np.integer, np.floating), "phase": (int, np.integer),
-                "fired": (dict,), "direction": (str,)}
+                "fired": (dict,), "direction": (str,), "channel": (int, np.integer)}
 
 
 def _field(event: Event, name: str):
-    """``t`` or a payload field the audit reads, which a file may lack or carry as another type."""
-    if name != "t" and name not in event.payload:
+    """A finite ``t`` or a payload field the audit reads, which a file may lack or carry as another type."""
+    if name != "t" and (not isinstance(event.payload, dict) or name not in event.payload):
         raise AuditError(f"{event.kind} event without {name}")
     value = event.t if name == "t" else event.payload[name]
     if name in _FIELD_TYPES and (isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[name])):
         raise AuditError(f"{event.kind} event with a {type(value).__name__} {name}")
+    if name == "t" and not math.isfinite(value):
+        raise AuditError(f"{event.kind} event with a non-finite t")
     return value
 
 

@@ -27,6 +27,10 @@ __all__ = [
     "delayed_overlap",
 ]
 
+# Outcome codes: 0 and 1 are the internal bit an outcome revealed, PERP the
+# orthogonal complement, SILENT no fire by full access.
+PERP, SILENT = 2, 3
+
 def _bump_cdf_std(u):
     """Cumulative mass of the standardized raised-cosine bump on (-1, 1)."""
     v = 0.5 * np.pi * np.clip(u, -1.0, 1.0)
@@ -250,6 +254,32 @@ class StretchedState:
             return math.inf
         taus, (front, rear) = np.add(fires, shift), self.hump_windows()
         return u if front.contains(taus[:2]).all() and rear.contains(taus[2:]).all() else math.inf
+
+    def _classes(self, taus, bits):
+        """Outcome codes of fires at ``taus`` carrying ``bits``: the bit inside
+        a hump window, SILENT past the rear one (full access), PERP otherwise."""
+        front, rear = self.hump_windows()
+        missed = np.where(taus > rear.hi, SILENT, PERP)
+        return np.where(front.contains(taus) | rear.contains(taus), bits, missed)
+
+    def _outcomes(self, rng, bits, shift: float = 0.0):
+        """Fire coordinates moved by ``shift`` and outcome codes of channels carrying ``bits``.
+        With every U of the draw at least the class bound, the codes copy the
+        bits and the coordinates are a call, made once, that places the draws."""
+        draws = self._fire_draws(rng, bits.shape)
+        if (bound := self._class_bound(shift)) < math.inf and draws[1][0].min(initial=math.inf) >= bound:
+            return lambda: self._place_fires(draws) + shift, bits.copy()
+        taus = self._place_fires(draws) + shift
+        return taus, self._classes(taus, bits)
+
+    def _rear_copies(self, rng, bits, p_pass: float):
+        """Coordinates and outcome codes of delayed rear-hump copies carrying ``bits``:
+        U, then pass coins at ``p_pass``; a passing copy fires in the rear window
+        and keeps its bit, a failing one fires anywhere in the rear hump and carries none."""
+        q, passed = rng.random(bits.shape), rng.random(bits.shape) < p_pass
+        lo, hi = self.rear.cdf(self.rear.nominal_interval)
+        taus = self.rear.ppf(np.where(passed, lo + q * (hi - lo), q))
+        return taus, np.where(passed, bits, self._classes(taus, PERP))
 
 
 def _amplitude_parts(state) -> list[tuple[float, Waveform]]:

@@ -505,16 +505,24 @@ def test_audit_rejects_a_detection_after_the_verdict():
         audit_transcript(Transcript(events), cfg)
 
 
-@pytest.mark.parametrize("kind, field", [
-    ("early_guess", "direction"),  # was read as A->B and passed
-    ("disclose", "phase"),  # was a KeyError
-    ("detect", "direction"),  # was a KeyError
-])
-def test_audit_rejects_an_event_without_a_field_it_reads(kind, field):
+@pytest.mark.parametrize("kind, field, payload", [
+    ("early_guess", "direction", None),  # was read as A->B and passed
+    ("disclose", "phase", None),  # was a KeyError
+    ("detect", "direction", None),  # was a KeyError
+    ("disclose", "phase", ["phase"]),  # was a TypeError from list indices
+    ("disclose", "phase", "phase"),  # was a TypeError from string indices
+    ("detect", "direction", ["direction"]),  # was a TypeError from list indices
+], ids=["early_guess-direction", "disclose-phase", "detect-direction",
+        "disclose-list", "disclose-string", "detect-list"])
+def test_audit_rejects_an_event_without_a_field_it_reads(kind, field, payload):
+    # a payload that is not a dict carries no field
     cfg = config(2, 1)
     events = run_bit_commitment(cfg, strategy_b=EarlyGuess(), seed=1).transcript.events
-    target = next(e for e in events if e.kind == kind)
-    del target.payload[field]
+    i, target = next((i, e) for i, e in enumerate(events) if e.kind == kind)
+    if payload is None:
+        del target.payload[field]
+    else:
+        events[i] = Event(target.t, target.actor, kind, payload)
     with pytest.raises(AuditError, match=f"^{kind} event without {field}$"):
         audit_transcript(Transcript(events), cfg)
 
@@ -525,17 +533,43 @@ def test_audit_rejects_an_event_without_a_field_it_reads(kind, field):
     (1, "t", "5"),  # tau_d as text: np.asarray took it, the horizon check raised a TypeError
     (1, "t", None),  # likewise, as NaN
     (1, "t", False),
-])
+    (None, "channel", True),  # a detection cited as "True" was accepted
+    (None, "channel", 1.5),  # likewise as "1.5"
+    (None, "channel", "x"),  # likewise as "x"
+], ids=["2-phase-2", "2-phase-True", "1-t-5", "1-t-None", "1-t-False",
+        "channel-True", "channel-1.5", "channel-x"])
 def test_audit_rejects_a_field_of_another_type(phase, field, value):
     cfg = config(3, 2)
-    events = run_coin_toss(cfg, seed=3).transcript.events
+    events = run_coin_toss(cfg, strategy_b=EarlyGuess(), seed=3).transcript.events
     audit_transcript(Transcript(events), cfg)
-    target = next(e for e in events if e.kind == "disclose" and e.payload["phase"] == phase)
+    if field == "channel":  # the early guess cites the detection by the str of its channel
+        fired = next(e for e in events if e.kind == "early_guess").payload["fired"]
+        key = next(iter(fired))
+        target = next(e for e in events if e.kind == "detect" and e.payload["direction"] == "A->B"
+                      and str(e.payload["channel"]) == key)
+        fired[str(value)] = fired.pop(key)
+    else:
+        target = next(e for e in events if e.kind == "disclose" and e.payload["phase"] == phase)
     if field == "t":
         events[events.index(target)] = Event(value, target.actor, target.kind, target.payload)
     else:
         target.payload[field] = value
-    with pytest.raises(AuditError, match=f"^disclose event with a {type(value).__name__} {field}$"):
+    with pytest.raises(AuditError, match=f"^{target.kind} event with a {type(value).__name__} {field}$"):
+        audit_transcript(Transcript(events), cfg)
+
+
+@pytest.mark.parametrize("at, value", [
+    ("disclose", math.nan), ("first", math.nan), ("first", -math.inf), ("verdict", math.inf),
+])
+def test_audit_rejects_a_time_that_is_not_finite(at, value):
+    # json.loads reads NaN and Infinity from a file, and no comparison they
+    # take part in fails the time order or the disclosure horizon
+    cfg = config(3, 2)
+    events = run_coin_toss(cfg, seed=3).transcript.events
+    i = {"first": 0, "disclose": [e.kind for e in events].index("disclose"), "verdict": len(events) - 1}[at]
+    target = events[i]
+    events[i] = Event(value, target.actor, target.kind, target.payload)
+    with pytest.raises(AuditError, match=f"^{target.kind} event with a non-finite t$"):
         audit_transcript(Transcript(events), cfg)
 
 
@@ -786,21 +820,26 @@ def test_compact_fires_are_classed_by_their_draws_only_with_a_margin():
         assert bound(*geometry) == math.inf
 
 
-@pytest.mark.parametrize("coin_toss", [False, True])
-def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss):
-    cfg = config(8, 4)
-    batch = simulate(cfg, 300, 5, coin_toss=coin_toss)
+@pytest.mark.parametrize("coin_toss, mirror", [(False, False), (True, False), (True, True)],
+                         ids=["False", "True", "mirror"])
+def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss, mirror):
+    # a mirror's states reach A a channel delay later, one small enough to
+    # keep every fire classed by its draw, so its placement on read is shifted
+    delay = 1e-4 if mirror else 0.0
+    cfg = config(8, 4, channel_delay=delay)
+    state, shape = cfg.make_state(), (300, cfg.n_channels)
+    assert state._class_bound(delay) < math.inf
+    batch = simulate(cfg, 300, 5, coin_toss=coin_toss, mirror=mirror)
     first, second = batch.ab, batch.ab
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     rng = np.random.default_rng(5)
-    state, shape = cfg.make_state(), (300, cfg.n_channels)
     sample_secret(cfg, 300, rng)
-    if coin_toss:
+    if coin_toss and not mirror:
         sample_secret(cfg, 300, rng)
     assert np.array_equal(first[0], state._place_fires(state._fire_draws(rng, shape)))
     if coin_toss:
-        assert np.array_equal(batch.ba[0], state._place_fires(state._fire_draws(rng, shape)))
-    assert_classed_by_coordinates(cfg, batch)
+        assert np.array_equal(batch.ba[0], state._place_fires(state._fire_draws(rng, shape)) + delay)
+    assert_classed_by_coordinates(cfg, batch, mirror=mirror)
 
 
 def test_delayed_outcomes_leave_the_secret_bits_alone():
