@@ -31,6 +31,7 @@ from .protocol import (
     EarlyGuess,
     ProtocolConfig,
     SendBack,
+    _delay_pass_probability,
     run_bit_commitment,
     run_coin_toss,
     transcript_to_jsonl,
@@ -114,17 +115,17 @@ def _fmt(value: float) -> str:
 
 def _cmd_analytic(args) -> int:
     n, k = args.blocks, args.block_len
+    config = ProtocolConfig(n, k, tail_exponent=args.tail_exponent)
     rows = [
         ("plain parity guess success (k=1 exact)", _fmt(pc_parity_plain(n))),
         ("block-coded guess reference bound", _fmt(pc_parity_block_bound(n, k))),
         ("valid-string entropy ratio (alpha)", _fmt(alpha(n, k))),
         ("per-block success, public block positions", _fmt(p_fixed_block(k))),
         ("full-string success, public positions", _fmt(p_acc_fixed(n, k))),
-        ("single-block delay escape (2^-k)", _fmt(0.5**k)),
+        ("single-block delay escape (p_pass^k)", _fmt(_delay_pass_probability(config.make_state()) ** k)),
     ]
     if args.tail_exponent is not None:
-        completion = ProtocolConfig(n, k, tail_exponent=args.tail_exponent).honest_completion
-        rows.append(("tailed honest completion ((1-e^-xi)^(N k))", _fmt(completion)))
+        rows.append(("tailed honest completion ((1-e^-xi)^(N k))", _fmt(config.honest_completion)))
     print(f"closed-form rates for N={n} blocks of k={k}")
     width = max(len(label) for label, _ in rows)
     for label, value in rows:

@@ -167,10 +167,10 @@ def _kernel_identification(config, options, trials, seed):
     return successes, 1.0 - composite_error(mass, 0.0, 0.5)
 
 
-def _block_column(rng, k, trials):
+def _block_column(rng, k, trials, dtype):
     """One block's value per trial, the low bit of k + 1 uniform bits drawn in words
-    of at most 63, and its fires, Bin(k, 1/2): the popcount of the other k bits."""
-    fires = np.zeros(trials, np.int64)
+    of at most 63, and its fires, Bin(k, 1/2) in ``dtype``: the popcount of the other k bits."""
+    fires = np.zeros(trials, dtype)
     for width in [63] * (k // 63) + [k % 63 + 1]:
         word = rng.integers(0, 1 << width, trials, dtype=np.min_scalar_type((1 << width) - 1))
         fires += np.bitwise_count(word)
@@ -181,12 +181,14 @@ def _block_column(rng, k, trials):
 
 def _kernel_parity_guess(config, options, trials, seed):
     n, k = config.n_blocks, config.block_len
-    ones, fired = np.zeros((2, trials), np.int64)
+    # no count exceeds N k, so below 2^15 the counts move as int16, a quarter of int64
+    dtype = np.int16 if n * k < 1 << 15 else np.int64
+    ones, fired = np.zeros((2, trials), dtype)
     parity = np.zeros(trials, bool)
     for col in range(n):
         # Common random numbers: each block column draws from a stream seeded
         # by column only, so cells differing in n_blocks share their leading columns.
-        value, fires = _block_column(np.random.default_rng((*seed[:2], k, col)), k, trials)
+        value, fires = _block_column(np.random.default_rng((*seed[:2], k, col)), k, trials, dtype)
         parity ^= value
         ones += value * fires
         fired += fires

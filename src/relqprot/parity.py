@@ -222,7 +222,7 @@ def _optimal_guesses(n, k, ones, zeros):
     """Per-trial optimal parity guess from fired ones and zeros, read from a table filled
     only at the keys that occur; odd only if strictly heavier, so ties and 0/0 go to 0."""
     size = n * k + 1
-    keys = ones * size
+    keys = ones * np.int64(size)  # int64 even for int16 counts: keys reach 2^15 once N k > 180
     keys += zeros
     seen = np.flatnonzero(np.bincount(keys))
     weights = (_evidence_weights(n, k, *divmod(int(key), size)) for key in seen)

@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 from relqprot import experiment
 from relqprot.cli import main
-from relqprot.protocol import ProtocolConfig
+from relqprot.protocol import ProtocolConfig, _delay_pass_probability
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _row(out, label):
+    return next(line for line in out.splitlines() if label in line).split(":")[-1].strip()
 
 
 def test_analytic_single_state(capsys):
@@ -28,8 +32,7 @@ def test_analytic_block_values(capsys):
     assert code == 0
     assert "alpha" in out and "0.75" in out
     assert "0.625" in out  # block-coded reference bound at (2, 2)
-    assert "0.25" in out  # delay escape 2^-2
-    row = next(line for line in out.splitlines() if "tailed honest completion" in line)
+    assert _row(out, "delay escape") == "0.232181438975"  # p_pass^2, not 2^-2
     # the sweep grades tailed_completion against the same law
     spec = experiment.ExperimentSpec.from_dict({
         "scenario": "tailed_completion",
@@ -37,7 +40,18 @@ def test_analytic_block_values(capsys):
     })
     reference = experiment.run_experiment(spec)[0].reference
     assert reference == pytest.approx(0.928725, abs=1e-6)
-    assert row.split(":")[-1].strip() == f"{reference:.12g}"
+    assert _row(out, "tailed honest completion") == f"{reference:.12g}"
+
+
+@pytest.mark.parametrize("xi, escape", [(None, "0.25"), ("1", "0.0399179805108")])
+def test_analytic_delay_escape_is_the_engine_pass_probability_per_block(xi, escape, capsys):
+    # the engine passes each delayed channel with _delay_pass_probability, so a
+    # block of k = 2 escapes with p_pass^2: 1/2 for the bump, less for a Gaussian
+    code, out, _ = run_cli(["analytic", "-N", "2", "-k", "2"] + (["--xi", xi] if xi else []), capsys)
+    assert code == 0
+    assert _row(out, "delay escape (p_pass^k)") == escape
+    state = ProtocolConfig(2, 2, tail_exponent=float(xi) if xi else None).make_state()
+    assert escape == f"{_delay_pass_probability(state) ** 2:.12g}"
 
 
 def test_analytic_plain_value_at_larger_n(capsys):

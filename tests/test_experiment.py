@@ -269,6 +269,16 @@ def test_identification_sweeps_keep_their_bytes():
     assert digest.hexdigest() == "a186439fb8c5d9786e072b6655cba7a3d8b649263e2cdfeafd36a30a8dfad236"
 
 
+def test_parity_guess_sweeps_keep_their_bytes():
+    # k >= 63 takes more than one draw word, and at (6, 64) and (6, 70) the
+    # evidence keys ones * (N k + 1) + zeros no longer fit in int16
+    digest = hashlib.sha256()
+    for grid in [{"n_blocks": [2, 4], "block_len": [1, 2, 4]},
+                 {"n_blocks": [6], "block_len": [64, 70]}]:
+        digest.update(cells_to_csv(run_experiment(spec("parity_guess", grid, trials=3000))).encode())
+    assert digest.hexdigest() == "f2aaf98f99ce406982445d92df80e99aa4e53a090469d8c0cb991d7c4f373c3b"
+
+
 class _ExtremeDraws(np.random.Generator):
     """Hump coins that alternate, every U 0 and V in {0, 1/2}, so the sampler
     places each fire on an extreme of its hump; every bit is 1, so a success
@@ -344,8 +354,8 @@ def test_block_draw_follows_the_exact_per_block_law(k):
     # the value is a uniform bit and the fires Bin(k, 1/2) independent of it;
     # k >= 63 takes more than one word
     trials = 200_000
-    value, fires = experiment._block_column(np.random.default_rng(k), k, trials)
-    assert value.dtype == bool and fires.dtype == np.int64
+    value, fires = experiment._block_column(np.random.default_rng(k), k, trials, np.int16)
+    assert value.dtype == bool and fires.dtype == np.int16
     assert 0 <= fires.min() and fires.max() <= k
     observed = np.stack([np.bincount(fires[value == v], minlength=k + 1) for v in (0, 1)])
     expected = np.outer([trials / 2] * 2, stats.binom.pmf(np.arange(k + 1), k, 0.5))
@@ -367,7 +377,7 @@ def test_parity_guess_kernel_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48e6
+    assert peak <= 24e6  # int16 counts; int64 ones, fired and fires read about 37 MB
 
 
 def test_parity_guess_cells_beyond_one_word_graded_against_exact_optimum():
