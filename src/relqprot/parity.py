@@ -128,9 +128,17 @@ def pc_parity_block_bound(n_blocks: int, block_len: int) -> float:
     return 0.5 + 1 / sum(count_block_strings_closed(n_blocks, block_len))
 
 
+def _binomial_row(m: int) -> list[int]:
+    """C(m, j) for j = 0..m in exact integers, each as C(m, j) (m - j) // (j + 1)."""
+    row = [1]
+    for j in range(m):
+        row.append(row[-1] * (m - j) // (j + 1))
+    return row
+
+
 def _half_binomial(n: int) -> np.ndarray:
     """Bin(n, 1/2) probabilities, each rounded once from the exact ratio."""
-    return np.array([comb(n, i) / (1 << n) for i in range(n + 1)])
+    return np.array([count / (1 << n) for count in _binomial_row(n)])
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so 2.0 or True misses and is checked
@@ -146,9 +154,8 @@ def pc_parity_optimal(n_blocks: int, block_len: int) -> float:
     n_channels = n_blocks * block_len
     weights = np.zeros((2, n_channels + 1, n_channels + 1))
     prior = _half_binomial(n_blocks)
-    for level in range(n_blocks + 1):
-        ones = _half_binomial(level * block_len)
-        zeros = _half_binomial(n_channels - level * block_len)
+    rows = [_half_binomial(level * block_len) for level in range(n_blocks + 1)]
+    for level, (ones, zeros) in enumerate(zip(rows, rows[::-1])):
         weights[level % 2, : ones.size, : zeros.size] += prior[level] * np.outer(ones, zeros)
     return float(weights.max(axis=0).sum())
 
@@ -219,15 +226,22 @@ def _optimal_guess(n_blocks: int, block_len: int, ones: int, zeros: int) -> Pari
 
 
 def _optimal_guesses(n, k, ones, zeros):
-    """Per-trial optimal parity guess from fired ones and zeros, read from a table filled
-    only at the keys that occur; odd only if strictly heavier, so ties and 0/0 go to 0."""
+    """Per-trial optimal parity guess from fired ones and zeros, read from a table filled at
+    the keys that occur by the law of ``_evidence_weights``, summed over them level by level;
+    odd only if strictly heavier, so ties and 0/0 go to 0."""
     size = n * k + 1
     keys = ones * np.int64(size)  # int64 even for int16 counts: keys reach 2^15 once N k > 180
     keys += zeros
     seen = np.flatnonzero(np.bincount(keys))
-    weights = (_evidence_weights(n, k, *divmod(int(key), size)) for key in seen)
+    dtype = np.int64 if n + n * k <= 62 else object  # exact: every weight is below 2^(N + N k)
+    ones_at, zeros_at = np.divmod(seen, size)
+    prior, weights = _binomial_row(n), np.zeros((2, seen.size), dtype)
+    for low in range(n // 2 + 1):  # levels l and N - l read the same two rows
+        rows = {j: np.array(_binomial_row(j * k) + [0] * (n - j) * k, dtype) for j in (low, n - low)}
+        for level in rows:  # C(N, l) C(l k, a) C((N - l) k, b)
+            weights[level % 2] += prior[level] * rows[level][ones_at] * rows[n - level][zeros_at]
     table = np.zeros(size * size, dtype=bool)
-    table[seen] = [odd > even for even, odd in weights]
+    table[seen] = weights[1] > weights[0]
     return table[keys]
 
 

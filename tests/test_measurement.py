@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from relqprot.measurement import (
     composite_error,
     helstrom_error,
 )
+from relqprot.parity import _evidence_weights, pc_parity_optimal
 from relqprot.protocol import (
     PERP,
     SILENT,
@@ -255,6 +258,44 @@ def test_helstrom_larger_internal_space():
     res = helstrom_error(prior, rho0, rho1)
     vals = np.linalg.eigvalsh(prior.p1 * rho1 - prior.p0 * rho0)
     assert res.error == pytest.approx(prior.p0 + vals[vals < 0].sum(), abs=1e-12)
+
+
+def restricted_parity_states(n, k, p):
+    """The joint law (w_even, w_odd) of the outcome strings on {0, 1, none}^(N k).
+
+    The sender's l one-blocks weigh C(N, l) / 2^N, spread evenly by the secret
+    permutation over the C(N k, l k) strings with l k ones, and each channel
+    shows its bit with probability p and stays silent otherwise.  Both are
+    diagonal in the one product basis, so the two parity states commute.
+    """
+    shown = {0: np.array([p, 0.0, 1.0 - p]), 1: np.array([0.0, p, 1.0 - p])}
+    weights = np.zeros((2, 3 ** (n * k)))
+    for string in product((0, 1), repeat=n * k):
+        level, rest = divmod(sum(string), k)
+        if rest == 0:
+            law = reduce(np.kron, [shown[bit] for bit in string])
+            weights[level % 2] += math.comb(n, level) / 2**n / math.comb(n * k, level * k) * law
+    return weights
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.875])
+def test_count_guesser_attains_the_helstrom_bound_of_the_restricted_states(p):
+    # every measurement of the restricted state, not only the count guesser:
+    # the Helstrom success equals the count law's optimum at any fire probability
+    for n, k in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (1, 4)]:
+        w_even, w_odd = restricted_parity_states(n, k, p)
+        helstrom = 1.0 - helstrom_error(PriorPair.even(), np.diag(2 * w_even), np.diag(2 * w_odd)).error
+        nk = n * k
+        counts = sum(
+            p ** (a + b) * (1.0 - p) ** (nk - a - b) * max(_evidence_weights(n, k, a, b))
+            for a in range(nk + 1)
+            for b in range(nk + 1 - a)
+        ) / 2**n
+        assert helstrom == pytest.approx(counts, abs=1e-12), (n, k)
+        if p == 0.5:
+            assert helstrom == pytest.approx(pc_parity_optimal(n, k), abs=1e-12), (n, k)
+        if (n, k, p) == (2, 2, 0.875):
+            assert helstrom == pytest.approx(0.984497, abs=1e-6)
 
 
 def test_composite_error_values():

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from relqprot.parity import (
     InconsistentEvidenceError,
+    _binomial_row,
+    _evidence_weights,
+    _optimal_guesses,
     alpha,
     count_block_strings,
     count_block_strings_closed,
@@ -273,6 +276,43 @@ def test_guesser_agrees_with_the_posterior_at_every_pair():
             assert got.confidence.hex() == float(max(even, odd) / (even + odd)).hex(), (n, k, ones, zeros)
             ties += even == odd
     assert ties > 0  # a tie goes to 0 in both
+
+
+def _table_and_law(n, k, pairs):
+    """The kernel table's guesses and the scalar law's [even, odd] weights at each pair."""
+    ones, zeros = np.array(pairs).T
+    return _optimal_guesses(n, k, ones, zeros).tolist(), [_evidence_weights(n, k, *p) for p in pairs]
+
+
+def test_guess_table_is_the_scalar_law_at_every_key_up_to_20_channels():
+    for n, k in pairs_up_to(20):
+        pairs = [(a, b) for a in range(n * k + 1) for b in range(n * k + 1 - a)]
+        guesses, weights = _table_and_law(n, k, pairs)
+        assert guesses == [odd > even for even, odd in weights], (n, k)
+    # the exact ties are present and go to 0
+    guesses, weights = _table_and_law(6, 1, [(a, b) for a in range(7) for b in range(7 - a)])
+    ties = [guess for guess, (even, odd) in zip(guesses, weights) if even == odd > 0]
+    assert ties == [False] * 21
+
+
+@pytest.mark.parametrize("n, k", [(2, 30), (1, 62), (2, 33), (2, 34), (8, 8), (16, 32), (6, 64)])
+def test_guess_table_is_the_scalar_law_across_the_dtype_boundary(n, k):
+    # the table sums in int64 up to N + N k = 62, (2, 30), and in Python ints
+    # above; int64 would wrap at the 65-bit weights of (2, 34) and (8, 8)
+    pairs = [(a, b) for a in range(n * k + 1) for b in range(n * k + 1 - a)]
+    if len(pairs) > 3000:
+        pairs = [pairs[i] for i in np.random.default_rng(n * k).choice(len(pairs), 3000, replace=False)]
+    guesses, weights = _table_and_law(n, k, pairs)
+    assert guesses == [odd > even for even, odd in weights]
+    assert any(guesses) and not all(guesses)
+    peak_bits = {(2, 33): 63, (2, 34): 65, (8, 8): 65}
+    if (n, k) in peak_bits:  # every key is checked at these three
+        assert max(max(w) for w in weights).bit_length() == peak_bits[n, k]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 61, 64, 4096])
+def test_binomial_row_is_exact(m):
+    assert _binomial_row(m) == [comb(m, j) for j in range(m + 1)]
 
 
 def test_guesser_certain_when_both_values_seen_small_blocks():
