@@ -69,4 +69,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -392,9 +392,9 @@ def simulate(
     """Run ``trials`` independent instances as (trials, channels) arrays.
 
     ``rng`` is a numpy Generator or a seed.  Draw order: A's block values and
-    permutation, B's (honest coin toss), the A->B fire coordinates, the
-    delayed-block outcomes, the B->A coordinates, then a mirror's blind
-    guesses.  ``delayed_blocks`` are the ids, each in [0, n_blocks), of the
+    permutation, B's (honest coin toss), the A->B fire coordinates of the
+    channels not delayed, the delayed copies, the B->A coordinates, then a
+    mirror's blind guesses.  ``delayed_blocks`` are the ids, each in [0, n_blocks), of the
     blocks a delaying sender withholds.  A mirror (``SendBack``) returns A's
     own states, which reach A one channel delay later on A's light cone;
     with ``staged`` disclosure it must announce the hidden half before
@@ -412,12 +412,15 @@ def simulate(
     parity_a, blocks_a, bits_a = sample_secret(config, trials, rng)
     if coin_toss and not mirror:
         parity_b, blocks_b, bits_b = sample_secret(config, trials, rng)
-    taus, outcomes = state._outcomes(rng, bits_a)
-    if delayed_blocks:  # the honest draws of the delayed channels are thrown away
-        taus = _placed(taus)
+    if delayed_blocks:  # fires for the channels not delayed, then the delayed copies
         delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
+        honest, taus, outcomes = ~delayed, np.empty(bits_a.shape), np.empty_like(bits_a)
+        fired, outcomes[honest] = state._outcomes(rng, bits_a[honest])
+        taus[honest] = _placed(fired)
         p_pass = _delay_pass_probability(state)
         taus[delayed], outcomes[delayed] = state._rear_copies(rng, bits_a[delayed], p_pass)
+    else:
+        taus, outcomes = state._outcomes(rng, bits_a)
     ab = (taus, outcomes, bits_a, blocks_a)
     if mirror:  # the mirroring peer checks nothing
         code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)

@@ -16,9 +16,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import betaincinv, erfcinv, ndtr, ndtri, wofz
+# scipy.special, about half of a cold start, is imported only where it is called
 
 __all__ = [
     "Waveform",
@@ -44,7 +45,7 @@ def _bump_cdf_std(u):
 
 @lru_cache(maxsize=None)
 def _gaussian_sigma(width: float, tail_exponent: float) -> float:
-    return width / (math.sqrt(2.0) * float(erfcinv(math.exp(-tail_exponent))))
+    return width / -NormalDist().inv_cdf(p) if (p := 0.5 * math.exp(-tail_exponent)) else 0.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class Waveform:
         if not self.width > 0:
             raise ValueError("width must be positive")
         # checked in this order: a tiny xi rounds exp(-xi) to 1, which the
-        # scale divides by; from about 744.03 up erfcinv(exp(-xi)) is inf
+        # scale divides by; from about 744.03 up exp(-xi) / 2 rounds to 0, and so the scale
         xi = self.tail_exponent
         if xi is not None and not (xi > 0 and math.exp(-xi) < 1.0 and self.sigma > 0):
             raise ValueError(
@@ -80,7 +81,7 @@ class Waveform:
 
     @property
     def sigma(self) -> float:
-        """Gaussian scale realizing the prescribed nominal tail mass."""
+        """Gaussian scale realizing the prescribed nominal tail mass, width / (sqrt(2) erfcinv(e^-xi))."""
         if self.tail_exponent is None:
             raise ValueError("compact profiles have no Gaussian scale")
         return _gaussian_sigma(self.width, self.tail_exponent)
@@ -115,6 +116,7 @@ class Waveform:
         tau = np.asarray(tau, dtype=float)
         if self.is_compact:
             return _bump_cdf_std((tau - self.center) / self.width)
+        from scipy.special import ndtr
         return ndtr((tau - self.center) / self.sigma)
 
     def mass(self, lo: float, hi: float) -> float:
@@ -125,6 +127,7 @@ class Waveform:
 
     def ppf(self, q):
         """Inverse of the cumulative mass, exact for both families."""
+        from scipy.special import betaincinv, ndtri
         # a uniform draw can be exactly 0, which ndtri maps to -inf and
         # betaincinv to nan
         q = np.maximum(q, 1e-300)
@@ -264,21 +267,27 @@ class StretchedState:
 
     def _outcomes(self, rng, bits, shift: float = 0.0):
         """Fire coordinates moved by ``shift`` and outcome codes of channels carrying ``bits``.
-        With every U of the draw at least the class bound, the codes copy the
+        With every U of the draw at least the class bound, or above 0 for an unshifted compact
+        fire (inside its hump window, however rounding places it), the codes copy the
         bits and the coordinates are a call, made once, that places the draws."""
         draws = self._fire_draws(rng, bits.shape)
-        if (bound := self._class_bound(shift)) < math.inf and draws[1][0].min(initial=math.inf) >= bound:
+        bound = math.ulp(0.0) if self.front.is_compact and not shift else self._class_bound(shift)
+        if bound < math.inf and draws[1][0].min(initial=math.inf) >= bound:
             return lambda: self._place_fires(draws) + shift, bits.copy()
         taus = self._place_fires(draws) + shift
         return taus, self._classes(taus, bits)
 
     def _rear_copies(self, rng, bits, p_pass: float):
-        """Coordinates and outcome codes of delayed rear-hump copies carrying ``bits``:
-        U, then pass coins at ``p_pass``; a passing copy fires in the rear window
-        and keeps its bit, a failing one fires anywhere in the rear hump and carries none."""
-        q, passed = rng.random(bits.shape), rng.random(bits.shape) < p_pass
-        lo, hi = self.rear.cdf(self.rear.nominal_interval)
-        taus = self.rear.ppf(np.where(passed, lo + q * (hi - lo), q))
+        """Coordinates and outcome codes of delayed rear-hump copies carrying ``bits``: a
+        passing copy (pass coins at ``p_pass``) fires in the rear window and keeps its bit,
+        a failing one fires anywhere in the rear hump and carries none.  The compact window
+        is the whole hump, so a compact copy is the hump's own draw, then its coin."""
+        if (rear := self.rear).is_compact:
+            taus, passed = rear._place(rear._draws(rng, bits.shape)), rng.random(bits.shape) < p_pass
+        else:
+            q, passed = rng.random(bits.shape), rng.random(bits.shape) < p_pass
+            lo, hi = rear.cdf(rear.nominal_interval)
+            taus = rear.ppf(np.where(passed, lo + q * (hi - lo), q))
         return taus, np.where(passed, bits, self._classes(taus, PERP))
 
 
@@ -308,9 +317,12 @@ def _amplitude_terms(state) -> list[tuple[float, float, float, float, float, flo
 
 
 def _damped_erf(u: float, kappa: float) -> complex:
-    """exp(-kappa^2 / 4) erf(u - i kappa / 2) through the Faddeeva function
-    ``wofz``, finite where the complex erf overflows and the damping
-    underflows (a wide Gaussian against a narrow bump)."""
+    """exp(-kappa^2 / 4) erf(u - i kappa / 2): the real erf at kappa = 0 (two Gaussians),
+    else through the Faddeeva function ``wofz``, finite where the complex erf overflows
+    and the damping underflows (a wide Gaussian against a narrow bump)."""
+    if not kappa:
+        return math.erf(u)
+    from scipy.special import wofz
     v = abs(u)
     g = math.exp(-0.25 * kappa**2) - cmath.exp(complex(-v * v, kappa * v)) * wofz(complex(0.5 * kappa, v))
     return g if u >= 0 else -g.conjugate()

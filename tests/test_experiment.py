@@ -249,11 +249,11 @@ _PINNED_SWEEPS = [
 def test_engine_sweeps_keep_their_bytes():
     # one SHA-256 over the CSV of fixed-seed engine sweeps, so that a change
     # to the RNG stream or to how outcomes are classed shows; the width 1e-15
-    # cells put some fires on a window edge by rounding
+    # cells put some fires on a window edge by rounding, and accept every trial
     digest = hashlib.sha256()
     for scenario, grid in _PINNED_SWEEPS:
         digest.update(cells_to_csv(run_experiment(spec(scenario, grid, trials=3000))).encode())
-    assert digest.hexdigest() == "488188c33a482f341d8f0d3556adbe0c8c36dad10921a3bed2d567d6e7822009"
+    assert digest.hexdigest() == "5d7323063fd81c93ce63087e238089cff64b0e6c4a31522cca217e95adedc3a3"
 
 
 def test_identification_sweeps_keep_their_bytes():

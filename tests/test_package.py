@@ -31,13 +31,35 @@ def test_removed_names_are_not_exported():
         relqprot.StretchedState.create(1.0, 8.0, 0, translation=4.5)
 
 
+def run_fresh(code):
+    """Run ``code`` in a new interpreter that imports this relqprot."""
+    src = str(Path(relqprot.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # the overlap is in closed form; scipy.integrate (with scipy.optimize and
     # scipy.sparse behind it) would add about a third to every cold start
-    src = str(Path(relqprot.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import relqprot, sys; assert 'scipy.integrate' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    run_fresh("import relqprot, sys; assert 'scipy.integrate' not in sys.modules")
+
+
+def test_common_paths_leave_scipy_special_unloaded():
+    # the Gaussian scale and the real erf come from the stdlib and a compact
+    # delayed copy from the sampler; scipy.special (with numpy.f2py,
+    # numpy.testing and numpy.ma behind it) would take about half of a cold start
+    run_fresh("""
+import sys
+from relqprot import (DelayBlocks, EarlyGuess, ExperimentSpec, ProtocolConfig, delayed_overlap,
+                      run_bit_commitment, run_experiment)
+cfg = ProtocolConfig(2, 2)
+assert run_bit_commitment(cfg, seed=0).verdict.accepted
+run_bit_commitment(cfg, DelayBlocks({0}), EarlyGuess(), seed=0)
+run_experiment(ExperimentSpec("tailed_completion", (("tail_exponent", (4.0,)),), 100))
+state = ProtocolConfig(2, 2, tail_exponent=4.0).make_state()
+assert 0.0 < delayed_overlap(state.rear, state) <= 0.5
+assert 'scipy.special' not in sys.modules
+""")
 
 
 def test_tracer_records_the_secret_sampler(monkeypatch):

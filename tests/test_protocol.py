@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from relqprot.parity import _optimal_guesses, exact_parity_guesser
 from relqprot.protocol import (
@@ -23,6 +24,7 @@ from relqprot.protocol import (
     ProtocolConfig,
     SendBack,
     Transcript,
+    _delay_pass_probability,
     _verify_announcement,
     audit_transcript,
     mirror_guess_acceptance,
@@ -759,12 +761,22 @@ def test_fires_on_a_window_edge_are_perp(width):
 @pytest.mark.parametrize("width", [1e-15, 1e-14, 1e-10, 1.0])
 @pytest.mark.parametrize("options", [{}, {"coin_toss": True}])
 def test_outcomes_are_the_classes_of_the_coordinates(width, options):
-    # at width 1e-15 against separation 8 rounding puts some fires on an edge
+    # at width 1e-15 against separation 8 rounding puts some fires on a window
+    # edge, yet in the model a compact fire with U > 0 lies inside its window,
+    # so there every outcome is its bit and the honest run accepts
     cfg = config(8, 4, width=width)
+    front, rear = cfg.make_state().hump_windows()
     for seed in range(3):
         batch = simulate(cfg, 400, seed, **options)
-        assert_classed_by_coordinates(cfg, batch)
-        assert (batch.ab[1] == PERP).any() == (width == 1e-15)
+        taus = batch.ab[0]
+        assert (~(front.contains(taus) | rear.contains(taus))).any() == (width == 1e-15)
+        if width == 1e-15:
+            for _, outcomes, bits, _ in filter(None, (batch.ab, batch.ba)):
+                assert np.array_equal(outcomes, bits)
+            assert batch.accepted.all()
+        else:
+            assert_classed_by_coordinates(cfg, batch)
+        assert not (batch.ab[1] == PERP).any()
 
 
 @pytest.mark.parametrize("staged", [True, False])
@@ -849,6 +861,32 @@ def test_delayed_outcomes_leave_the_secret_bits_alone():
     assert (batch.ab[1] == PERP).any()
 
 
+def test_delayed_runs_draw_fires_for_the_honest_channels_only():
+    # draw order: the secret, the fires of the channels not delayed, the copies
+    cfg, trials = config(4, 2), 300
+    state, rng = cfg.make_state(), np.random.default_rng(2)
+    _, blocks, bits = sample_secret(cfg, trials, rng)
+    delayed = np.isin(blocks, [0, 3])
+    honest, codes = state._outcomes(rng, bits[~delayed])
+    copies, copy_codes = state._rear_copies(rng, bits[delayed], _delay_pass_probability(state))
+    taus, outcomes, _, _ = simulate(cfg, trials, 2, delayed_blocks={0, 3}).ab
+    assert np.array_equal(taus[~delayed], honest()) and np.array_equal(outcomes[~delayed], codes)
+    assert np.array_equal(taus[delayed], copies) and np.array_equal(outcomes[delayed], copy_codes)
+
+
+def test_compact_delayed_copies_are_rear_hump_draws():
+    # the rear window is the whole compact hump, so a passing copy and a
+    # failing one have one law, the rear hump's; a copy passes at p_pass
+    state, rng = config().make_state(), np.random.default_rng(0)
+    bits = rng.integers(0, 2, 100_000)
+    taus, outcomes = state._rear_copies(rng, bits, 0.3)
+    passed = outcomes == bits
+    assert within_3_sigma(passed, 0.3)
+    assert (outcomes[~passed] == PERP).all()
+    for fired in (taus, taus[passed], taus[~passed]):
+        assert stats.kstest(fired, state.rear.cdf).pvalue > 0.01
+
+
 @pytest.mark.parametrize("mirror", [False, True])
 def test_delaying_sender_requires_the_bit_commitment(mirror):
     # no protocol here defines a delaying coin-toss initiator
@@ -929,13 +967,14 @@ def reported(result):
 
 def test_engine_runs_keep_their_bytes():
     # one SHA-256 over every variant's JSONL and report, taken from the
-    # per-event writer that sorted Event objects; any writer must keep it
+    # per-event writer that sorted Event objects and re-taken in 0.13.0, whose
+    # delaying runs draw fewer fires; any writer must keep it
     digest = hashlib.sha256()
     for name in sorted(_VARIANTS):
         for result in variant_runs(name):
             digest.update(transcript_to_jsonl(result.transcript).encode())
             digest.update(reported(result).encode())
-    assert digest.hexdigest() == "8a602d77c400baf5479ddd65b6440b6fd5367435851ae25767147ff9a80731e8"
+    assert digest.hexdigest() == "030bc4de6f508d87f68a1879941cb1ab1ba48e46c640225b453530baed4cf6b6"
 
 
 @pytest.mark.parametrize("name", sorted(_VARIANTS))

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from relqprot.wavepacket import (
     StretchedState,
     Waveform,
     Window,
+    _damped_erf,
+    _gaussian_sigma,
     delayed_overlap,
 )
 
@@ -276,6 +278,22 @@ def test_gaussian_rear_copy_closed_form(xi, width, sep):
     assert delayed_overlap(s.rear, s) == pytest.approx(expected, abs=1e-15)
 
 
+def test_gaussian_scale_is_the_erfcinv_one():
+    # width / -inv_cdf(e^-xi / 2) from the stdlib against width / (sqrt(2) erfcinv(e^-xi))
+    for xi in np.geomspace(1e-3, 744.0, 400).tolist() + [744.0]:
+        for width in (1.0, 0.3):
+            expected = width / (math.sqrt(2.0) * float(special.erfcinv(math.exp(-xi))))
+            assert _gaussian_sigma(width, xi) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+def test_real_damped_erf_is_the_faddeeva_one():
+    # at kappa = 0 the Faddeeva form is 1 - e^(-u^2) w(i |u|) = erf(|u|), odd in u
+    for u in np.linspace(-30.0, 30.0, 2401).tolist():
+        v = abs(u)
+        g = 1.0 - math.exp(-v * v) * special.wofz(complex(0.0, v)).real
+        assert abs(_damped_erf(u, 0.0) - math.copysign(g, u)) <= 1e-15
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         Waveform(-1.0)
@@ -283,7 +301,7 @@ def test_validation_errors():
         Waveform(1.0, tail_exponent=0.0)
     with pytest.raises(ValueError, match="below 1"):
         Waveform(1.0, tail_exponent=1e-300)  # exp(-xi) rounds to 1
-    for xi in (744.5, 800.0):  # erfcinv(exp(-xi)) is inf, so the Gaussian scale is 0
+    for xi in (744.04, 744.5, 800.0):  # exp(-xi) / 2 rounds to 0, so the Gaussian scale is 0
         with pytest.raises(ValueError, match="below 1"):
             Waveform(1.0, tail_exponent=xi)
     near = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=744.0)  # still accepted
