@@ -33,8 +33,6 @@ from .parity import (
     count_block_strings,
     count_block_strings_closed,
     exact_parity_guesser,
-    p_acc_fixed,
-    p_fixed_block,
     parity_posterior,
     pc_parity_block_bound,
     pc_parity_optimal,
@@ -69,4 +67,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

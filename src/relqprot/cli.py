@@ -20,8 +20,6 @@ from .experiment import (
 from .parity import (
     alpha,
     count_block_strings_closed,
-    p_acc_fixed,
-    p_fixed_block,
     pc_parity_block_bound,
     pc_parity_plain,
 )
@@ -120,8 +118,6 @@ def _cmd_analytic(args) -> int:
         ("plain parity guess success (k=1 exact)", _fmt(pc_parity_plain(n))),
         ("block-coded guess reference bound", _fmt(pc_parity_block_bound(n, k))),
         ("valid-string entropy ratio (alpha)", _fmt(alpha(n, k))),
-        ("per-block success, public block positions", _fmt(p_fixed_block(k))),
-        ("full-string success, public positions", _fmt(p_acc_fixed(n, k))),
         ("single-block delay escape (p_pass^k)", _fmt(_delay_pass_probability(config.make_state()) ** k)),
     ]
     if args.tail_exponent is not None:

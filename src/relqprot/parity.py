@@ -29,8 +29,6 @@ __all__ = [
     "pc_parity_plain",
     "pc_parity_block_bound",
     "pc_parity_optimal",
-    "p_fixed_block",
-    "p_acc_fixed",
     "parity_posterior",
     "exact_parity_guesser",
 ]
@@ -158,18 +156,6 @@ def pc_parity_optimal(n_blocks: int, block_len: int) -> float:
     for level, (ones, zeros) in enumerate(zip(rows, rows[::-1])):
         weights[level % 2, : ones.size, : zeros.size] += prior[level] * np.outer(ones, zeros)
     return float(weights.max(axis=0).sum())
-
-
-def p_fixed_block(block_len: int) -> float:
-    """Per-block identification probability when block positions are public."""
-    _, block_len = _validate_nk(1, block_len)
-    return 1.0 - 0.5 ** block_len
-
-
-def p_acc_fixed(n_blocks: int, block_len: int) -> float:
-    """Full-string identification probability with public block positions."""
-    n_blocks, block_len = _validate_nk(n_blocks, block_len)
-    return p_fixed_block(block_len) ** n_blocks
 
 
 def _evidence_weights(n_blocks: int, block_len: int, ones: int, zeros: int) -> list[int]:

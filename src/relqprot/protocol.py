@@ -254,8 +254,8 @@ class Batch:
     channel (-1 when accepted), and ``by_b`` marks aborts B found in A's
     direction.  ``parity_a``/``parity_b`` are the announced parities, the
     first also A's committed bit.  ``ab`` and ``ba`` (coin toss only) hold
-    (taus, outcome codes, bits, blocks) arrays; taus the sampler deferred are
-    placed from their kept draws on first read, as verification reads codes only.
+    (taus, outcome codes, bits, blocks) arrays; unshifted compact taus, classed by
+    their draws, are placed from those draws on first read, as verification reads codes only.
     """
 
     code: np.ndarray

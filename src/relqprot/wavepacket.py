@@ -231,32 +231,22 @@ class StretchedState:
         """Whether each fire of ``_fire_draws`` lies at or before ``horizon``,
         written over the hump coins: the coin alone decides when every front
         fire the sampler can place is at most the horizon and every rear fire past it."""
-        fires = self._extreme_fires(0.0)
-        if fires is not None and fires[0] <= horizon < fires[3]:
+        bounds = self._fire_bounds()
+        if bounds is not None and bounds[0] <= horizon < bounds[1]:
             return np.logical_not(draws[0], out=draws[0])
         return np.less_equal(self._place_fires(draws), horizon, out=draws[0])
 
     @lru_cache(maxsize=None)
-    def _extreme_fires(self, u: float):
-        """The sampler's own placement of U = ``u``, V in {0, 1/2} in the front,
-        then the rear hump (top, bottom, top, bottom), None for the Gaussian.  As
-        |t| <= sqrt(1 - sqrt(U)) and each rounded step of the placement is
-        monotone, a compact fire with U >= u lies between its hump's two."""
+    def _fire_bounds(self):
+        """The sampler's own placement of U = 0, V = 0 in the front hump and of U = 0,
+        V = 1/2 in the rear one (the front's top, the rear's bottom), None for the
+        Gaussian.  As |t| <= sqrt(1 - sqrt(U)) and each rounded step of the placement
+        is monotone, every compact front fire lies at or below the first and every
+        rear fire at or above the second."""
         if not self.front.is_compact:
             return None
-        rear, v = np.array([False, False, True, True]), np.array([0.0, 0.5, 0.0, 0.5])
-        return tuple(self._place_fires((rear, (np.full(4, u), v))).tolist())
-
-    @lru_cache(maxsize=None)
-    def _class_bound(self, shift: float) -> float:
-        """Least U of a compact draw from which its fire, moved by ``shift``, surely
-        lies inside its hump window (so before full access): u* = 2^-40 when the
-        extreme fires at u* lie strictly inside theirs, and inf otherwise or for the Gaussian."""
-        u = 2.0**-40
-        if (fires := self._extreme_fires(u)) is None:
-            return math.inf
-        taus, (front, rear) = np.add(fires, shift), self.hump_windows()
-        return u if front.contains(taus[:2]).all() and rear.contains(taus[2:]).all() else math.inf
+        draws = (np.array([False, True]), (np.zeros(2), np.array([0.0, 0.5])))
+        return tuple(self._place_fires(draws).tolist())
 
     def _classes(self, taus, bits):
         """Outcome codes of fires at ``taus`` carrying ``bits``: the bit inside
@@ -267,13 +257,12 @@ class StretchedState:
 
     def _outcomes(self, rng, bits, shift: float = 0.0):
         """Fire coordinates moved by ``shift`` and outcome codes of channels carrying ``bits``.
-        With every U of the draw at least the class bound, or above 0 for an unshifted compact
-        fire (inside its hump window, however rounding places it), the codes copy the
-        bits and the coordinates are a call, made once, that places the draws."""
+        An unshifted compact fire with U > 0 lies inside its hump window in the model, so
+        with every U of the draw above 0 the codes copy the bits and the coordinates are a
+        call, made once, that places the draws.  Every other fire is placed, moved and classed."""
         draws = self._fire_draws(rng, bits.shape)
-        bound = math.ulp(0.0) if self.front.is_compact and not shift else self._class_bound(shift)
-        if bound < math.inf and draws[1][0].min(initial=math.inf) >= bound:
-            return lambda: self._place_fires(draws) + shift, bits.copy()
+        if self.front.is_compact and not shift and draws[1][0].min(initial=1.0) > 0.0:
+            return lambda: self._place_fires(draws), bits.copy()
         taus = self._place_fires(draws) + shift
         return taus, self._classes(taus, bits)
 

@@ -302,7 +302,7 @@ class _ExtremeDraws(np.random.Generator):
 def test_identification_classes_extreme_fires_as_their_placement(tau_d, fires):
     cfg = ProtocolConfig(1, 1, width=1e-15, separation=8.0, disclosure_time=tau_d)
     state = cfg.make_state()
-    assert state._extreme_fires(0.0)[::3] == (1e-15, 7.999999999999999)
+    assert state._fire_bounds() == (1e-15, 7.999999999999999)
     placed = state._place_fires(state._fire_draws(_ExtremeDraws(np.random.PCG64(0)), 8)) <= tau_d
     successes, _ = experiment._kernel_identification(cfg, {}, 8, _ExtremeDraws(np.random.PCG64(0)))
     assert successes == np.count_nonzero(placed) == fires

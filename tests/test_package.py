@@ -19,13 +19,16 @@ def test_version_matches_pyproject():
 
 
 def test_removed_names_are_not_exported():
-    for name in ("EnumerationBoundError", "accessible_horizon", "block_string_parity"):
+    for name in ("EnumerationBoundError", "accessible_horizon", "block_string_parity",
+                 "p_fixed_block", "p_acc_fixed"):
         assert not hasattr(relqprot, name)
-    assert not hasattr(relqprot.parity, "block_string_parity")
+    for name in ("block_string_parity", "p_fixed_block", "p_acc_fixed"):
+        assert not hasattr(relqprot.parity, name)
     for owner, name in [(relqprot.Waveform, "amplitude"), (relqprot.Waveform, "translated"),
                         (relqprot.Window, "shifted"), (relqprot.StretchedState, "translated"),
                         (relqprot.StretchedState, "translation"), (relqprot.Waveform, "sample"),
-                        (relqprot.StretchedState, "sample_fire_time")]:
+                        (relqprot.StretchedState, "sample_fire_time"),
+                        (relqprot.StretchedState, "_class_bound")]:
         assert not hasattr(owner, name)
     with pytest.raises(TypeError, match="translation"):
         relqprot.StretchedState.create(1.0, 8.0, 0, translation=4.5)

@@ -18,8 +18,6 @@ from relqprot.parity import (
     count_block_strings,
     count_block_strings_closed,
     exact_parity_guesser,
-    p_acc_fixed,
-    p_fixed_block,
     parity_posterior,
     pc_parity_block_bound,
     pc_parity_optimal,
@@ -171,18 +169,6 @@ def test_pc_parity_optimal_exact_values():
     assert pc_parity_optimal(8, 8) == pytest.approx(0.7366, abs=1e-4)
     with pytest.raises(ValueError):
         pc_parity_optimal(0, 2)
-
-
-def test_fixed_block_probabilities():
-    assert p_fixed_block(1) == pytest.approx(0.5)
-    assert p_fixed_block(3) == pytest.approx(7 / 8)
-    assert p_acc_fixed(4, 3) == pytest.approx((7 / 8) ** 4)
-
-
-def test_public_positions_beat_scattered_identification():
-    for n, k in pairs_up_to(12):
-        scattered = 2.0 ** (-alpha(n, k) * n * k)
-        assert p_acc_fixed(n, k) >= scattered - 1e-12
 
 
 # -------------------------------------------------------------------- guesser
@@ -409,9 +395,6 @@ _INTEGER_ARGUMENTS = [
     ("pc_parity_block_bound", "block_len", lambda v: pc_parity_block_bound(2, v)),
     ("pc_parity_optimal", "n_blocks", lambda v: pc_parity_optimal(v, 2)),
     ("pc_parity_optimal", "block_len", lambda v: pc_parity_optimal(2, v)),
-    ("p_fixed_block", "block_len", p_fixed_block),
-    ("p_acc_fixed", "n_blocks", lambda v: p_acc_fixed(v, 2)),
-    ("p_acc_fixed", "block_len", lambda v: p_acc_fixed(2, v)),
     ("parity_posterior", "n_blocks", lambda v: parity_posterior(v, 2, 2, 1)),
     ("parity_posterior", "block_len", lambda v: parity_posterior(2, v, 2, 1)),
     ("parity_posterior", "n_unfired", lambda v: parity_posterior(2, 2, v, 1)),

@@ -3,7 +3,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -821,26 +821,14 @@ def test_delayed_gaussian_outcomes_are_classed():
     assert list(AbortReason).index(AbortReason.SILENT_AT_FULL_ACCESS) + 1 in code
 
 
-def test_compact_fires_are_classed_by_their_draws_only_with_a_margin():
-    # the bound below which a U sends a call to the coordinates
-    def bound(width, separation, tail_exponent, shift):
-        return StretchedState.create(width, separation, 0, tail_exponent)._class_bound(shift)
-
-    assert bound(1.0, 8.0, None, 0.0) == bound(1e-10, 8.0, None, 0.0) == 2.0**-40
-    for geometry in [(1e-15, 8.0, None, 0.0), (1e-14, 8.0, None, 0.0),
-                     (1.0, 8.0, None, 0.7), (1.0, 8.0, 4.0, 0.0)]:
-        assert bound(*geometry) == math.inf
-
-
 @pytest.mark.parametrize("coin_toss, mirror", [(False, False), (True, False), (True, True)],
                          ids=["False", "True", "mirror"])
 def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss, mirror):
-    # a mirror's states reach A a channel delay later, one small enough to
-    # keep every fire classed by its draw, so its placement on read is shifted
+    # a mirror's states reach A a channel delay later, so its fires are placed
+    # when drawn and shifted by the delay; the unshifted ones are placed on read
     delay = 1e-4 if mirror else 0.0
     cfg = config(8, 4, channel_delay=delay)
     state, shape = cfg.make_state(), (300, cfg.n_channels)
-    assert state._class_bound(delay) < math.inf
     batch = simulate(cfg, 300, 5, coin_toss=coin_toss, mirror=mirror)
     first, second = batch.ab, batch.ab
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
@@ -975,6 +963,25 @@ def test_engine_runs_keep_their_bytes():
             digest.update(transcript_to_jsonl(result.transcript).encode())
             digest.update(reported(result).encode())
     assert digest.hexdigest() == "030bc4de6f508d87f68a1879941cb1ab1ba48e46c640225b453530baed4cf6b6"
+
+
+def test_send_backs_with_a_tiny_channel_delay_keep_their_bytes():
+    # mirrors shifted by a small fraction of a width, where every shifted compact
+    # fire still lies inside its hump window; taken when such fires were classed
+    # by their draws, and kept now that they are placed
+    digest = hashlib.sha256()
+    for width, fraction, staged in product([0.5, 3.0], [1e-6, 1e-4, 6e-4], [True, False]):
+        delay = fraction * width
+        for (n, k), seed in product([(2, 2), (3, 2), (8, 8)], range(3)):
+            cfg = config(n, k, width=width, channel_delay=delay)
+            result = run_coin_toss(cfg, strategy_b=SendBack(), enforce_half_disclosure=staged, seed=seed)
+            digest.update(transcript_to_jsonl(result.transcript).encode())
+            digest.update(reported(result).encode())
+        batch = simulate(config(8, 4, width=width, channel_delay=delay), 300, 7,
+                         coin_toss=True, mirror=True, staged=staged)
+        for array in (batch.code, batch.channel, *batch.ba[:2]):
+            digest.update(array.tobytes())
+    assert digest.hexdigest() == "13f5dacaaf5f419836a87a13277fa19912a7320864aa9094eea7e74dcbac840b"
 
 
 @pytest.mark.parametrize("name", sorted(_VARIANTS))
