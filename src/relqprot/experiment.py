@@ -50,8 +50,6 @@ __all__ = [
 # Bound on trials x channels per engine call, which caps a cell's memory.
 _CHUNK_ELEMENTS = 1 << 18
 
-# Grid parameters that are not ProtocolConfig fields, with their defaults.
-_OPTION_DEFAULTS = {"delayed_blocks": 1, "half_disclosure": True}
 # Grid names that differ from the ProtocolConfig field they set.
 _CONFIG_FIELD = {"tau_d": "disclosure_time"}
 
@@ -83,9 +81,9 @@ class ExperimentSpec:
             raise ValueError("trials must be at least 1")
         if not self.grid:
             raise ValueError("parameter grid must not be empty")
-        allowed = _SCENARIOS[self.scenario].params
+        entry = _SCENARIOS[self.scenario]
         for name, values in self.grid:
-            if name not in allowed:
+            if name not in entry.params and name not in entry.options:
                 raise ValueError(f"parameter {name!r} not used by {self.scenario}")
             if not values:
                 raise ValueError(f"parameter {name!r} has no values")
@@ -139,8 +137,10 @@ class SummaryCell:
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval, stable for near-0/1 estimates at small counts."""
-    if trials < 1:
+    if (trials := _integer("trials", trials)) < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 <= (successes := _integer("successes", successes)) <= trials:
+        raise ValueError(f"successes must lie in [0, trials], got {successes}")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -222,30 +222,32 @@ def _kernel_bc(config, options, trials, seed):
 
 
 def _kernel_ct(config, options, trials, seed):
-    """Honest coin toss, or, given a ``half_disclosure`` option (ct_sendback),
-    a mirroring peer that passes staged disclosure only by guessing and forces
-    the zero lot without it."""
-    mirror = "half_disclosure" in options
-    half = options.get("half_disclosure", True)
+    """Honest coin toss accepted."""
+    return _engine_successes(config, trials, seed, lambda b: b.accepted, coin_toss=True), 1.0
+
+
+def _kernel_sendback(config, options, trials, seed):
+    """A mirroring peer, which passes staged disclosure only by guessing and
+    forces the zero lot without it."""
+    half = options["half_disclosure"]
     successes = _engine_successes(
         config, trials, seed,
         (lambda b: b.accepted) if half else (lambda b: b.accepted & (b.lot == 0)),
-        coin_toss=True, mirror=mirror, staged=half,
+        coin_toss=True, mirror=True, staged=half,
     )
-    if mirror and half:
-        return successes, float(mirror_guess_acceptance(config.n_blocks, config.block_len))
-    return successes, 1.0
+    return successes, float(mirror_guess_acceptance(config.n_blocks, config.block_len)) if half else 1.0
 
 
 class _Scenario(NamedTuple):
     """A scenario's kernel(config, options, trials, seed) -> (successes,
-    reference), its default config, and its grid parameters, all reported by
-    every cell.  ``options`` holds the parameters that are not config fields,
-    and ``seed`` is (master seed, scenario code, cell index)."""
+    reference), its default config, its grid parameters that set config fields,
+    and the defaults of those that do not, its options; every cell reports them
+    all.  ``seed`` is (master seed, scenario code, cell index)."""
 
     kernel: Callable
     config: ProtocolConfig
     params: tuple[str, ...]
+    options: dict = {}
 
 
 # One declaration per scenario; the order fixes the seed codes.
@@ -255,13 +257,12 @@ _SCENARIOS = {
     "parity_guess": _Scenario(
         _kernel_parity_guess, ProtocolConfig(1, 1), ("n_blocks", "block_len")),
     "cheat_detection": _Scenario(
-        _kernel_cheat_detection, ProtocolConfig(2, 1),
-        ("n_blocks", "block_len", "delayed_blocks")),
+        _kernel_cheat_detection, ProtocolConfig(2, 1), ("n_blocks", "block_len"), {"delayed_blocks": 1}),
     "bc_honest": _Scenario(
         _kernel_bc, ProtocolConfig(2, 2), ("n_blocks", "block_len", "width", "separation")),
     "ct_honest": _Scenario(_kernel_ct, ProtocolConfig(2, 2), ("n_blocks", "block_len")),
     "ct_sendback": _Scenario(
-        _kernel_ct, ProtocolConfig(2, 1), ("n_blocks", "block_len", "half_disclosure")),
+        _kernel_sendback, ProtocolConfig(2, 1), ("n_blocks", "block_len"), {"half_disclosure": True}),
     "tailed_completion": _Scenario(
         _kernel_bc, ProtocolConfig(2, 2, tail_exponent=4.0),
         ("n_blocks", "block_len", "tail_exponent")),
@@ -284,11 +285,10 @@ def _checked(name: str, value, default):
 def _resolve(scenario: str, cell: dict) -> tuple[ProtocolConfig, dict]:
     """One grid cell as its checked ProtocolConfig and options."""
     entry = _SCENARIOS[scenario]
-    options = {name: _OPTION_DEFAULTS[name] for name in entry.params if name in _OPTION_DEFAULTS}
-    changes = {}
+    options, changes = dict(entry.options), {}
     for name, value in cell.items():
         if name in options:
-            options[name] = _checked(name, value, _OPTION_DEFAULTS[name])
+            options[name] = _checked(name, value, entry.options[name])
         else:
             key = _CONFIG_FIELD.get(name, name)
             changes[key] = _checked(name, value, getattr(entry.config, key))
@@ -304,8 +304,7 @@ def _run_cell(spec: ExperimentSpec, cell_index: int) -> SummaryCell:
     seed = (spec.master_seed, SCENARIOS.index(spec.scenario) + 1, cell_index)
     successes, reference = entry.kernel(config, options, spec.trials, seed)
     # the config's tau_d property reads back the resolved disclosure horizon
-    params = {name: options[name] if name in options else getattr(config, name)
-              for name in entry.params}
+    params = {**{name: getattr(config, name) for name in entry.params}, **options}
     ci_lo, ci_hi = wilson_interval(successes, spec.trials)
     z = _z_score(successes, spec.trials, reference)
     return SummaryCell(

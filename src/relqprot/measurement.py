@@ -8,6 +8,7 @@ outcomes themselves are drawn and verified by the protocol engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,8 +32,9 @@ class PriorPair:
     p1: float
 
     def __post_init__(self) -> None:
-        if self.p0 < 0 or self.p1 < 0:
-            raise ValueError("priors must be non-negative")
+        for name, value in (("p0", self.p0), ("p1", self.p1)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if abs(self.p0 + self.p1 - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
 

@@ -202,15 +202,6 @@ class ParityGuess(NamedTuple):
     confidence: float
 
 
-def _optimal_guess(n_blocks: int, block_len: int, ones: int, zeros: int) -> ParityGuess:
-    """The optimal guess at a (fired ones, fired zeros) pair, odd only if strictly
-    heavier (ties to 0); the int division rounds the exact posterior as float(Fraction) does."""
-    even, odd = _evidence_weights(n_blocks, block_len, ones, zeros)
-    if even == odd == 0:
-        raise InconsistentEvidenceError("no valid block string is consistent with the fired outcomes")
-    return ParityGuess(int(odd > even), max(even, odd) / (even + odd))
-
-
 def _optimal_guesses(n, k, ones, zeros):
     """Per-trial optimal parity guess from fired ones and zeros, read from a table filled at
     the keys that occur by the law of ``_evidence_weights``, summed over them level by level;
@@ -240,14 +231,18 @@ def exact_parity_guesser(
     positions are unknown to the guesser, so only the counts matter; the
     posterior is exact under the honest sender's sampling and ties break
     deterministically toward 0 (ties are equally frequent for both secrets,
-    so the break introduces no bias).
+    so the break introduces no bias).  The confidence is the heavier weight
+    over both by int division, which rounds as float(Fraction) does.
     """
     n_blocks, block_len = _validate_nk(n_blocks, block_len)
-    n_channels, fired_ones = n_blocks * block_len, 0
+    n_channels, ones = n_blocks * block_len, 0
     for channel, bit in fired.items():
         if not 0 <= _integer("channel", channel) < n_channels:
             raise ValueError(f"channel {channel} out of range")
         if (bit := _integer("fired bit", bit)) not in (0, 1):
             raise ValueError("fired values must be bits")
-        fired_ones += bit
-    return _optimal_guess(n_blocks, block_len, fired_ones, len(fired) - fired_ones)
+        ones += bit
+    even, odd = _evidence_weights(n_blocks, block_len, ones, len(fired) - ones)
+    if even == odd == 0:
+        raise InconsistentEvidenceError("no valid block string is consistent with the fired outcomes")
+    return ParityGuess(int(odd > even), max(even, odd) / (even + odd))

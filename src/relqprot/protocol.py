@@ -23,8 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .parity import _integer, _natural, _optimal_guess, _validate_nk
-from .parity import exact_parity_guesser  # noqa: F401  (bound for tracers)
+from .parity import _integer, _natural, _validate_nk, exact_parity_guesser
 from .wavepacket import PERP, SILENT, StretchedState, delayed_overlap  # noqa: F401  (SILENT re-exported)
 
 __all__ = [
@@ -254,8 +253,8 @@ class Batch:
     channel (-1 when accepted), and ``by_b`` marks aborts B found in A's
     direction.  ``parity_a``/``parity_b`` are the announced parities, the
     first also A's committed bit.  ``ab`` and ``ba`` (coin toss only) hold
-    (taus, outcome codes, bits, blocks) arrays; unshifted compact taus, classed by
-    their draws, are placed from those draws on first read, as verification reads codes only.
+    (taus, outcome codes, bits, blocks) arrays; each keeps the call that gives its taus,
+    made on first read, as verification reads codes only.
     """
 
     code: np.ndarray
@@ -268,11 +267,11 @@ class Batch:
 
     @cached_property
     def ab(self) -> tuple:
-        return (_placed(self._ab[0]), *self._ab[1:])
+        return (self._ab[0](), *self._ab[1:])
 
     @cached_property
     def ba(self) -> tuple | None:
-        return None if self._ba is None else (_placed(self._ba[0]), *self._ba[1:])
+        return None if self._ba is None else (self._ba[0](), *self._ba[1:])
 
     @property
     def accepted(self) -> np.ndarray:
@@ -308,11 +307,6 @@ def sample_secret(config: ProtocolConfig, trials: int, rng):
     perm = np.argsort(rng.random((trials, config.n_channels)), axis=1)
     blocks = perm // config.block_len
     return values.sum(axis=1) % 2, blocks, values[np.arange(trials)[:, None], blocks]
-
-
-def _placed(taus):
-    """Fire coordinates as ``StretchedState._outcomes`` returned them, placed if it deferred them."""
-    return taus() if callable(taus) else taus
 
 
 def _mirror_plan(config: ProtocolConfig, bits):
@@ -416,12 +410,14 @@ def simulate(
         delayed = np.isin(np.arange(config.n_blocks), list(delayed_blocks))[blocks_a]
         honest, taus, outcomes = ~delayed, np.empty(bits_a.shape), np.empty_like(bits_a)
         fired, outcomes[honest] = state._outcomes(rng, bits_a[honest])
-        taus[honest] = _placed(fired)
         p_pass = _delay_pass_probability(state)
         taus[delayed], outcomes[delayed] = state._rear_copies(rng, bits_a[delayed], p_pass)
+        def placed():  # the honest fires join the copies when the batch is read
+            taus[honest] = fired()
+            return taus
     else:
-        taus, outcomes = state._outcomes(rng, bits_a)
-    ab = (taus, outcomes, bits_a, blocks_a)
+        placed, outcomes = state._outcomes(rng, bits_a)
+    ab = (placed, outcomes, bits_a, blocks_a)
     if mirror:  # the mirroring peer checks nothing
         code, channel = np.zeros(trials, dtype=np.int64), np.full(trials, -1)
     else:
@@ -431,7 +427,7 @@ def simulate(
         return Batch(code, channel, by_b, parity_a, None, ab)
 
     if mirror:
-        taus, outcomes = state._outcomes(rng, bits_a, shift=config.channel_delay)
+        placed, outcomes = state._outcomes(rng, bits_a, shift=config.channel_delay)
         bits_b, blocks_b, parity_b = bits_a, blocks_a, parity_a
         if staged:
             hidden = blocks_a >= _phase_one_blocks(config)
@@ -440,8 +436,8 @@ def simulate(
             blocks_b = _mirror_plan(config, bits_b)
             parity_b = bits_b.sum(axis=1) // config.block_len % 2  # made up, so from bits
     else:
-        taus, outcomes = state._outcomes(rng, bits_b)
-    ba = (taus, outcomes, bits_b, blocks_b)
+        placed, outcomes = state._outcomes(rng, bits_b)
+    ba = (placed, outcomes, bits_b, blocks_b)
     code_ba, channel_ba = _verify_announcement(config, *ba[1:])
     code, channel = np.where(by_b, code, code_ba), np.where(by_b, channel, channel_ba)
     return Batch(code, channel, by_b, parity_a, parity_b, ab, ba)
@@ -505,8 +501,7 @@ def _render(config, batch, starts, phases, early_guess, verdict_actor, verdict_p
     if early_guess:
         taus, outcomes, _, _ = cols["A->B"]
         visible = {c: o for c, (tau, o) in enumerate(zip(taus, outcomes)) if tau <= tau_d and o != PERP}
-        ones = sum(visible.values())
-        guess, confidence = _optimal_guess(config.n_blocks, config.block_len, ones, len(visible) - ones)
+        guess, confidence = exact_parity_guesser(visible, config.n_blocks, config.block_len)
         fired = {str(c): b for c, b in visible.items()}
         late.append((t_d, [_encode(t_d, "B", "early_guess", {
             "fired": fired, "direction": "A->B", "guess": guess, "confidence": confidence})]))

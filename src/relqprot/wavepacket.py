@@ -64,8 +64,10 @@ class Waveform:
     tail_exponent: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        if not (self.width > 0 and math.isfinite(self.width)):
+            raise ValueError(f"width must be positive and finite, got {self.width!r}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         # checked in this order: a tiny xi rounds exp(-xi) to 1, which the
         # scale divides by; from about 744.03 up exp(-xi) / 2 rounds to 0, and so the scale
         xi = self.tail_exponent
@@ -256,15 +258,15 @@ class StretchedState:
         return np.where(front.contains(taus) | rear.contains(taus), bits, missed)
 
     def _outcomes(self, rng, bits, shift: float = 0.0):
-        """Fire coordinates moved by ``shift`` and outcome codes of channels carrying ``bits``.
-        An unshifted compact fire with U > 0 lies inside its hump window in the model, so
-        with every U of the draw above 0 the codes copy the bits and the coordinates are a
-        call, made once, that places the draws.  Every other fire is placed, moved and classed."""
+        """A call, made once, that gives the fire coordinates moved by ``shift``, and the outcome
+        codes of channels carrying ``bits``.  An unshifted compact fire with U > 0 lies inside its
+        hump window in the model, so with every U of the draw above 0 the codes copy the bits and
+        the call places the draws.  Every other fire is placed, moved and classed now."""
         draws = self._fire_draws(rng, bits.shape)
         if self.front.is_compact and not shift and draws[1][0].min(initial=1.0) > 0.0:
             return lambda: self._place_fires(draws), bits.copy()
         taus = self._place_fires(draws) + shift
-        return taus, self._classes(taus, bits)
+        return lambda: taus, self._classes(taus, bits)
 
     def _rear_copies(self, rng, bits, p_pass: float):
         """Coordinates and outcome codes of delayed rear-hump copies carrying ``bits``: a

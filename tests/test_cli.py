@@ -517,7 +517,8 @@ _SPEC = st.sampled_from(experiment.SCENARIOS).flatmap(lambda scenario: _overwrit
         "scenario": st.just(scenario),
         "grid": st.fixed_dictionaries({}, optional={
             name: st.lists(_GRID_VALUES[name], min_size=1, max_size=2)
-            for name in sorted(experiment._SCENARIOS[scenario].params)
+            for name in sorted([*experiment._SCENARIOS[scenario].params,
+                                *experiment._SCENARIOS[scenario].options])
         }),
         "trials": st.integers(1, 30),
     }),

@@ -39,6 +39,12 @@ def test_spec_validation():
         spec(grid={"tau_d": []})
     with pytest.raises(ValueError):
         spec(grid={"n_blocks": [2]})  # not a parameter of identification
+    # an option is a parameter of its own scenario only
+    for scenario, option, value in [("ct_honest", "half_disclosure", True), ("bc_honest", "delayed_blocks", 1),
+                                    ("cheat_detection", "half_disclosure", True),
+                                    ("ct_sendback", "delayed_blocks", 1)]:
+        with pytest.raises(ValueError, match=f"parameter '{option}' not used by {scenario}"):
+            spec(scenario, {"n_blocks": [2], option: [value]})
     with pytest.raises(ValueError):
         spec(trials=0)
     with pytest.raises(ValueError):
@@ -70,6 +76,17 @@ def test_wilson_interval_sanity():
     assert wilson_interval(10, 10)[1] == 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+@pytest.mark.parametrize("successes, trials, name", [
+    (2.5, 10, "successes"), (True, 10, "successes"), (5, 3, "successes"),
+    (-1, 10, "successes"), (3, True, "trials"), (3, 10.0, "trials"),
+])
+def test_wilson_interval_checks_its_counts(successes, trials, name):
+    # counts are ints or numpy integers, with 0 <= successes <= trials
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        wilson_interval(successes, trials)
+    assert wilson_interval(np.int64(3), np.int64(10)) == wilson_interval(3, 10)
 
 
 def test_compare_modes(monkeypatch):
@@ -277,6 +294,13 @@ def test_parity_guess_sweeps_keep_their_bytes():
                  {"n_blocks": [6], "block_len": [64, 70]}]:
         digest.update(cells_to_csv(run_experiment(spec("parity_guess", grid, trials=3000))).encode())
     assert digest.hexdigest() == "f2aaf98f99ce406982445d92df80e99aa4e53a090469d8c0cb991d7c4f373c3b"
+
+
+def test_cheat_detection_sweeps_keep_their_bytes():
+    grid = {"n_blocks": [2, 4], "block_len": [1, 2], "delayed_blocks": [1, 2]}
+    csv_text = cells_to_csv(run_experiment(spec("cheat_detection", grid, trials=3000)))
+    digest = hashlib.sha256(csv_text.encode()).hexdigest()
+    assert digest == "ced509ce69e1e5e67b5978a46d9258cdf291647115c63d58d285b5c7fc097fa0"
 
 
 class _ExtremeDraws(np.random.Generator):

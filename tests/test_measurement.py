@@ -314,6 +314,14 @@ def test_prior_pair_validation():
     assert PriorPair.even().p0 == 0.5
 
 
+@pytest.mark.parametrize("p0, p1, name", [(math.nan, 0.5, "p0"), (0.5, math.nan, "p1"),
+                                          (math.inf, 0.0, "p0"), (0.0, -math.inf, "p1")])
+def test_prior_pair_rejects_non_finite_priors_by_name(p0, p1, name):
+    # a NaN prior passes both the sign test and the sum test, as every comparison with it is false
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        PriorPair(p0, p1)
+
+
 def test_helstrom_rejects_malformed_states():
     with pytest.raises(ValueError):
         helstrom_error(PriorPair.even(), np.zeros((2, 3)), np.zeros((2, 3)))

@@ -78,3 +78,17 @@ def test_tracer_records_the_secret_sampler(monkeypatch):
     calls, _ = tracer.layer_totals()
     assert calls["sample_secret"] == 1
     assert calls["run_bit_commitment"] == 1
+
+
+def test_tracer_records_the_early_guess(monkeypatch):
+    # the early guess of a run is the public guesser, called once on the fired outcomes
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        result = protocol.run_bit_commitment(protocol.ProtocolConfig(2, 2), protocol.DelayBlocks({0}),
+                                             protocol.EarlyGuess())
+    assert result.early_guess is not None
+    calls, _ = tracer.layer_totals()
+    assert calls["exact_parity_guesser"] == 1

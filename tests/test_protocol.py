@@ -821,25 +821,33 @@ def test_delayed_gaussian_outcomes_are_classed():
     assert list(AbortReason).index(AbortReason.SILENT_AT_FULL_ACCESS) + 1 in code
 
 
-@pytest.mark.parametrize("coin_toss, mirror", [(False, False), (True, False), (True, True)],
-                         ids=["False", "True", "mirror"])
-def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss, mirror):
+@pytest.mark.parametrize("coin_toss, mirror, delayed, xi", [
+    (False, False, (), None), (True, False, (), None), (True, True, (), None),
+    (False, False, (0, 5), None), (False, False, (), 1.0), (True, False, (), 1.0), (False, False, (0, 5), 1.0),
+], ids=["False", "True", "mirror", "delayed", "gaussian", "gaussian-True", "gaussian-delayed"])
+def test_coordinates_placed_on_read_are_the_sampler_s(coin_toss, mirror, delayed, xi):
     # a mirror's states reach A a channel delay later, so its fires are placed
-    # when drawn and shifted by the delay; the unshifted ones are placed on read
+    # when drawn and shifted by the delay, as Gaussian fires are placed when
+    # drawn; the unshifted compact ones, delayed copies aside, are placed on read
     delay = 1e-4 if mirror else 0.0
-    cfg = config(8, 4, channel_delay=delay)
+    cfg = config(8, 4, channel_delay=delay, tail_exponent=xi)
     state, shape = cfg.make_state(), (300, cfg.n_channels)
-    batch = simulate(cfg, 300, 5, coin_toss=coin_toss, mirror=mirror)
+    batch = simulate(cfg, 300, 5, coin_toss=coin_toss, mirror=mirror, delayed_blocks=delayed)
     first, second = batch.ab, batch.ab
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     rng = np.random.default_rng(5)
-    sample_secret(cfg, 300, rng)
+    _, blocks, bits = sample_secret(cfg, 300, rng)
     if coin_toss and not mirror:
         sample_secret(cfg, 300, rng)
-    assert np.array_equal(first[0], state._place_fires(state._fire_draws(rng, shape)))
+    held, taus = np.isin(blocks, delayed), np.empty(shape)
+    taus[~held] = state._place_fires(state._fire_draws(rng, bits[~held].shape))
+    if delayed:
+        taus[held] = state._rear_copies(rng, bits[held], _delay_pass_probability(state))[0]
+    assert np.array_equal(first[0], taus) and held.any() == bool(delayed)
     if coin_toss:
         assert np.array_equal(batch.ba[0], state._place_fires(state._fire_draws(rng, shape)) + delay)
-    assert_classed_by_coordinates(cfg, batch, mirror=mirror)
+    if not delayed:
+        assert_classed_by_coordinates(cfg, batch, mirror=mirror)
 
 
 def test_delayed_outcomes_leave_the_secret_bits_alone():

@@ -294,6 +294,18 @@ def test_real_damped_erf_is_the_faddeeva_one():
         assert abs(_damped_erf(u, 0.0) - math.copysign(g, u)) <= 1e-15
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: Waveform(math.inf), "width"),
+    (lambda: Waveform(math.nan), "width"),
+    (lambda: Waveform(1.0, center=math.nan), "center"),
+    (lambda: Waveform(1.0, center=-math.inf, tail_exponent=1.0), "center"),
+    (lambda: StretchedState.create(1.0, math.inf, 0), "center"),
+])
+def test_non_finite_geometry_is_rejected_by_name(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make()
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         Waveform(-1.0)
