@@ -20,7 +20,6 @@ from .experiment import (
     wilson_interval,
 )
 from .measurement import (
-    HelstromResult,
     PriorPair,
     composite_error,
     helstrom_error,
@@ -63,8 +62,7 @@ from .protocol import (
 from .wavepacket import (
     StretchedState,
     Waveform,
-    Window,
     delayed_overlap,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -35,7 +35,6 @@ from .protocol import (
     simulate,
 )
 from .protocol import run_bit_commitment, run_coin_toss  # noqa: F401  (bound for tracers)
-from .wavepacket import Window
 
 __all__ = [
     "SCENARIOS",
@@ -135,13 +134,13 @@ class SummaryCell:
         return dict(self.params)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval, stable for near-0/1 estimates at small counts."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at z = 1.96, stable for near-0/1 estimates at small counts."""
     if (trials := _integer("trials", trials)) < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= (successes := _integer("successes", successes)) <= trials:
         raise ValueError(f"successes must lie in [0, trials], got {successes}")
-    p = successes / trials
+    p, z = successes / trials, 1.96
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
@@ -163,7 +162,7 @@ def _kernel_identification(config, options, trials, seed):
     fired = state._fired_by(state._fire_draws(rng, trials), config.tau_d)
     bits = rng.integers(0, 2, trials)
     successes = int(np.count_nonzero(fired | (bits == 0)))
-    mass = state.window_mass(Window(-math.inf, config.tau_d))
+    mass = state.window_mass(-math.inf, config.tau_d)
     return successes, 1.0 - composite_error(mass, 0.0, 0.5)
 
 

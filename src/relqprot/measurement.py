@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PriorPair",
-    "HelstromResult",
     "helstrom_error",
     "composite_error",
 ]
@@ -43,13 +41,7 @@ class PriorPair:
         return cls(0.5, 0.5)
 
 
-class HelstromResult(NamedTuple):
-    error: float
-    projector_0: np.ndarray
-    projector_1: np.ndarray
-
-
-def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> HelstromResult:
+def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> float:
     """Minimum-error discrimination of two internal states at full access.
 
     The optimal binary measurement projects onto the negative eigenspace of
@@ -57,24 +49,19 @@ def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> Hels
     the negative eigenvalues, so orthogonal states give zero error.  When
     only part of the state is accessible, the detector fires with the
     window mass and the silent branch is a blind guess:
-    ``composite_error(mass, helstrom_error(...).error, min(p0, p1))``.
+    ``composite_error(mass, helstrom_error(...), min(p0, p1))``.  Complex
+    matrices keep their phases.
     """
-    rho0, rho1 = np.asarray(rho0, dtype=float), np.asarray(rho1, dtype=float)
+    dtype = complex if np.iscomplexobj(rho0) or np.iscomplexobj(rho1) else float
+    rho0, rho1 = np.asarray(rho0, dtype=dtype), np.asarray(rho1, dtype=dtype)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho1.shape != rho0.shape:
         raise ValueError("density matrices must be square and of one size")
     gamma = prior.p1 * rho1 - prior.p0 * rho0
     scale = max(1.0, float(np.abs(gamma).max(initial=0.0)))
-    if float(np.abs(gamma - gamma.T).max(initial=0.0)) > _HERMITIAN_TOL * scale:
+    if float(np.abs(gamma - gamma.conj().T).max(initial=0.0)) > _HERMITIAN_TOL * scale:
         raise ValueError("density matrices must be Hermitian")
-
-    vals, vecs = np.linalg.eigh(gamma)
-
-    neg = vals < 0.0
-    error = prior.p0 + float(vals[neg].sum())
-    basis = vecs[:, neg]
-    proj0 = basis @ basis.T
-    proj1 = np.eye(gamma.shape[0]) - proj0
-    return HelstromResult(max(error, 0.0), proj0, proj1)
+    vals = np.linalg.eigvalsh(gamma)
+    return max(prior.p0 + float(vals[vals < 0.0].sum()), 0.0)
 
 
 def composite_error(p_fire: float, pe_fired: float, pe_silent: float) -> float:

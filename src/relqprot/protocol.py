@@ -76,7 +76,7 @@ def _real(name: str, value) -> float:
     numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     if not numeric or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         _validate_nk(self.n_blocks, self.block_len)
         _natural("master_seed", self.master_seed)
-        # stored as float, so equal geometries give equal transcript bytes
+        # stored as float (-0.0 as 0.0), so equal geometries give equal transcript bytes
         for name in ("width", "separation", "channel_delay", "tail_exponent", "disclosure_time"):
             if getattr(self, name) is not None or name not in ("tail_exponent", "disclosure_time"):
                 object.__setattr__(self, name, _real(name, getattr(self, name)))

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Waveform",
     "StretchedState",
-    "Window",
     "delayed_overlap",
 ]
 
@@ -160,24 +159,6 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class Window:
-    """Accessible interval on the light cone; either edge may be infinite."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("window edges must be numbers")
-        if not self.hi > self.lo:
-            raise ValueError("window must satisfy hi > lo")
-
-    def contains(self, tau):
-        """Open-interval membership; elementwise for an array of coordinates."""
-        return (self.lo < tau) & (tau < self.hi)
-
-
-@dataclass(frozen=True)
 class StretchedState:
     """Two separated copies of one profile sharing a single internal bit.
 
@@ -210,15 +191,10 @@ class StretchedState:
     def separation(self) -> float:
         return self.rear.center - self.front.center
 
-    def window_mass(self, window: Window) -> float:
-        """Probability that a detector confined to ``window`` obtains an outcome."""
-        return 0.5 * (
-            self.front.mass(window.lo, window.hi) + self.rear.mass(window.lo, window.hi)
-        )
-
-    def hump_windows(self) -> tuple[Window, Window]:
-        """Nominal per-hump localization windows used by the verification."""
-        return (Window(*self.front.nominal_interval), Window(*self.rear.nominal_interval))
+    def window_mass(self, lo: float, hi: float) -> float:
+        """Probability that a detector confined to the window (lo, hi) obtains an outcome;
+        either edge may be infinite."""
+        return 0.5 * (self.front.mass(lo, hi) + self.rear.mass(lo, hi))
 
     def _fire_draws(self, rng, size):
         """The generator calls of ``size`` fire times: the hump coins, then the profile's draws."""
@@ -253,9 +229,9 @@ class StretchedState:
     def _classes(self, taus, bits):
         """Outcome codes of fires at ``taus`` carrying ``bits``: the bit inside
         a hump window, SILENT past the rear one (full access), PERP otherwise."""
-        front, rear = self.hump_windows()
-        missed = np.where(taus > rear.hi, SILENT, PERP)
-        return np.where(front.contains(taus) | rear.contains(taus), bits, missed)
+        (f_lo, f_hi), (r_lo, r_hi) = self.front.nominal_interval, self.rear.nominal_interval
+        missed = np.where(taus > r_hi, SILENT, PERP)
+        return np.where((f_lo < taus) & (taus < f_hi) | (r_lo < taus) & (taus < r_hi), bits, missed)
 
     def _outcomes(self, rng, bits, shift: float = 0.0):
         """A call, made once, that gives the fire coordinates moved by ``shift``, and the outcome
@@ -354,10 +330,10 @@ def delayed_overlap(delayed, honest: StretchedState) -> float:
 
     terms_d, terms_h = _amplitude_terms(delayed), _amplitude_terms(honest)
     total = 0.0
-    for win in honest.hump_windows():
+    for win_lo, win_hi in (honest.front.nominal_interval, honest.rear.nominal_interval):
         for *td, lo_d, hi_d in terms_d:
             for *th, lo_h, hi_h in terms_h:
-                lo, hi = max(win.lo, lo_d, lo_h), min(win.hi, hi_d, hi_h)
+                lo, hi = max(win_lo, lo_d, lo_h), min(win_hi, hi_d, hi_h)
                 if hi > lo:
                     total += _term_overlap(td, th, lo, hi)
     return float(min(max(total * total, 0.0), 1.0))

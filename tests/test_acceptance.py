@@ -215,13 +215,13 @@ def test_criterion_8_helstrom_oracle_equivalence():
 
         rho0, rho1 = density(), density()
         res = helstrom_error(prior, rho0, rho1)
-        worst = max(worst, abs(res.error - _brute_min_error(prior.p0, prior.p1, rho0, rho1)))
+        worst = max(worst, abs(res - _brute_min_error(prior.p0, prior.p1, rho0, rho1)))
     orthogonal = helstrom_error(PriorPair.even(), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    ok = worst < 1e-6 and orthogonal.error == 0.0
+    ok = worst < 1e-6 and orthogonal == 0.0
     assert report(
         "criterion 8 (discriminator vs projector search)",
         ok,
-        f"worst deviation {worst:.2e} over 100 ensembles, orthogonal error {orthogonal.error}",
+        f"worst deviation {worst:.2e} over 100 ensembles, orthogonal error {orthogonal}",
     )
 
 

@@ -76,6 +76,8 @@ def test_wilson_interval_sanity():
     assert wilson_interval(10, 10)[1] == 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+    with pytest.raises(TypeError):  # the sweep grades at z = 1.96 only
+        wilson_interval(50, 100, z=1.0)
 
 
 @pytest.mark.parametrize("successes, trials, name", [

@@ -25,6 +25,7 @@ from relqprot.protocol import (
     SendBack,
     Transcript,
     _delay_pass_probability,
+    _mirror_plan,
     _verify_announcement,
     audit_transcript,
     mirror_guess_acceptance,
@@ -34,11 +35,23 @@ from relqprot.protocol import (
     simulate,
     transcript_to_jsonl,
 )
-from relqprot.wavepacket import StretchedState, Window, delayed_overlap
+from relqprot.wavepacket import StretchedState, delayed_overlap
 
 
 def config(n=2, k=2, **kwargs):
     return ProtocolConfig(n, k, **kwargs)
+
+
+def hump_windows(cfg):
+    """The nominal (lo, hi) interval of each hump of ``cfg``'s state."""
+    state = cfg.make_state()
+    return state.front.nominal_interval, state.rear.nominal_interval
+
+
+def inside(window, taus):
+    """Open-interval membership, the test the class rule applies to a hump window."""
+    lo, hi = window
+    return (lo < taus) & (taus < hi)
 
 
 def aborts(batch):
@@ -124,7 +137,7 @@ def test_detections_trail_the_wall_clock_by_the_channel_delay(channel_delay):
             assert event.t - event.payload["tau"] == pytest.approx(channel_delay, abs=1e-12)
     # at wall time delay + separation - width the receiver sees exactly the front hump
     t = channel_delay + cfg.separation - cfg.width
-    mass = cfg.make_state().window_mass(Window(-math.inf, t - channel_delay))
+    mass = cfg.make_state().window_mass(-math.inf, t - channel_delay)
     assert mass == pytest.approx(0.5, abs=1e-12)
 
 
@@ -379,6 +392,41 @@ def test_mirror_guess_oracle_values():
         hidden = (n - (n + 1) // 2) * k
         assert mirror_guess_acceptance(n, k) == Fraction(1, 2**hidden)
 
+
+def mirror_survival(n, k, one_coin):
+    """A staged mirror's exact acceptance over every block assignment with k
+    channels per block, every block value and every guess of the hidden
+    channels, run through ``_mirror_plan`` and ``_verify_announcement``.
+    Every reflected fire lies inside its window (compact humps, no channel
+    delay), so its outcome is A's bit.  The blind mirror guesses each hidden
+    channel; the one-coin mirror puts one guessed value on all of them."""
+    cfg, nk, hidden_count = config(n, k), n * k, (n // 2) * k
+    assignments = np.indices((n,) * nk).reshape(nk, -1).T
+    assignments = assignments[(np.sort(assignments, axis=1) == np.arange(nk) // k).all(axis=1)]
+    values = np.indices((2,) * n).reshape(n, -1).T
+    if one_coin:
+        guesses = np.array([[0] * hidden_count, [1] * hidden_count])
+    else:
+        guesses = np.indices((2,) * hidden_count).reshape(hidden_count, -1).T
+    ia, iv, ig = np.indices((len(assignments), len(values), len(guesses))).reshape(3, -1)
+    blocks_a = assignments[ia]
+    bits_a = values[iv[:, None], blocks_a]
+    bits_b = bits_a.copy()
+    bits_b[blocks_a >= (n + 1) // 2] = guesses[ig].ravel()
+    code, _ = _verify_announcement(cfg, bits_a, bits_b, _mirror_plan(cfg, bits_b))
+    return Fraction(int(np.count_nonzero(code == 0)), len(code))
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+def test_blind_mirror_survival_is_the_oracle_exactly(n, k):
+    assert mirror_survival(n, k, one_coin=False) == mirror_guess_acceptance(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 2), (4, 1), (2, 3)])
+def test_one_coin_mirror_survives_with_one_block_guess_per_hidden_block(n, k):
+    # the hidden blocks are all 0 or all 1 with chance 2^-floor(N/2) each, and
+    # one coin names either, so block length buys nothing against send-back
+    assert mirror_survival(n, k, one_coin=True) == Fraction(1, 2 ** (n // 2))
 
 
 def test_mirror_guess_oracle_beyond_sixteen_guessed_channels():
@@ -637,6 +685,44 @@ def test_verification_reports_the_first_failing_channel():
     assert channel.tolist() == [-1, 2, 1, 0, 1, 1, 3, 2]
 
 
+_MISSED_REASON = {0: AbortReason.WRONG_CHANNEL, 1: AbortReason.WRONG_CHANNEL,
+                  PERP: AbortReason.PERP_OUTCOME, SILENT: AbortReason.SILENT_AT_FULL_ACCESS}
+
+
+def verify_by_docstring(n, k, outcomes, bits, blocks):
+    """``_verify_announcement`` for one trial, read off its docstring: the
+    first undisclosed channel or channel whose outcome is not its bit, then
+    the first block without exactly k or 0 channels, then the first channel
+    of the first mixed block whose bit differs from its block's first one."""
+    for channel, (outcome, bit) in enumerate(zip(outcomes, bits)):
+        if bit < 0:
+            return AbortReason.INCONSISTENT_DISCLOSURE, channel
+        if outcome != bit:
+            return _MISSED_REASON[outcome], channel
+    members = [[c for c, b in enumerate(blocks) if b == block] for block in range(n)]
+    for channels in members:
+        if len(channels) not in (0, k):
+            return AbortReason.INCONSISTENT_DISCLOSURE, channels[0]
+    for channels in members:
+        for channel in channels:
+            if bits[channel] != bits[channels[0]]:
+                return AbortReason.BLOCK_MISMATCH, channel
+    return None, -1
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2)])
+def test_verification_agrees_with_its_docstring_on_every_input(n, k):
+    # every outcome code, announced bit (-1 undisclosed) and block id on every channel
+    nk = n * k
+    rows = np.indices((4,) * nk + (3,) * nk + (n,) * nk).reshape(3 * nk, -1).T
+    rows[:, nk:2 * nk] -= 1
+    code, channel = _verify_announcement(config(n, k), rows[:, :nk], rows[:, nk:2 * nk], rows[:, 2 * nk:])
+    reasons = [None, *AbortReason]
+    got = list(zip([reasons[c] for c in code.tolist()], channel.tolist()))
+    expected = [verify_by_docstring(n, k, row[:nk], row[nk:2 * nk], row[2 * nk:]) for row in rows.tolist()]
+    assert got == expected
+
+
 @pytest.mark.parametrize(
     "run, options",
     [
@@ -717,11 +803,11 @@ def assert_classed_by_coordinates(cfg, batch, mirror=False):
     coordinates: the bit the state carries inside a hump window, SILENT past
     the full-access horizon, PERP anywhere else.  A mirror returns A's
     states, whatever bits it announces."""
-    front, rear = cfg.make_state().hump_windows()
+    front, rear = hump_windows(cfg)
     for taus, outcomes, bits, _ in filter(None, (batch.ab, batch.ba)):
         carried = batch.ab[2] if mirror else bits
         missed = np.where(taus > cfg.full_access_horizon, SILENT, PERP)
-        assert np.array_equal(outcomes, np.where(front.contains(taus) | rear.contains(taus), carried, missed))
+        assert np.array_equal(outcomes, np.where(inside(front, taus) | inside(rear, taus), carried, missed))
     code, channel = _verify_announcement(cfg, *batch.ab[1:])
     if not mirror:  # a mirroring peer checks nothing
         assert np.array_equal(batch.by_b, code != 0)
@@ -765,11 +851,11 @@ def test_outcomes_are_the_classes_of_the_coordinates(width, options):
     # edge, yet in the model a compact fire with U > 0 lies inside its window,
     # so there every outcome is its bit and the honest run accepts
     cfg = config(8, 4, width=width)
-    front, rear = cfg.make_state().hump_windows()
+    front, rear = hump_windows(cfg)
     for seed in range(3):
         batch = simulate(cfg, 400, seed, **options)
         taus = batch.ab[0]
-        assert (~(front.contains(taus) | rear.contains(taus))).any() == (width == 1e-15)
+        assert (~(inside(front, taus) | inside(rear, taus))).any() == (width == 1e-15)
         if width == 1e-15:
             for _, outcomes, bits, _ in filter(None, (batch.ab, batch.ba)):
                 assert np.array_equal(outcomes, bits)
@@ -807,13 +893,13 @@ def test_delayed_gaussian_outcomes_are_classed():
     cfg = config(4, 2, tail_exponent=1.0)
     batch = simulate(cfg, 2000, 12, delayed_blocks={0, 2})
     taus, outcomes, bits, blocks = batch.ab
-    front, rear = cfg.make_state().hump_windows()
+    front, rear = hump_windows(cfg)
     delayed, late = np.isin(blocks, [0, 2]), taus > cfg.full_access_horizon
-    honest = np.where(front.contains(taus) | rear.contains(taus), bits, np.where(late, SILENT, PERP))
+    honest = np.where(inside(front, taus) | inside(rear, taus), bits, np.where(late, SILENT, PERP))
     assert np.array_equal(outcomes[~delayed], honest[~delayed])
     assert np.array_equal(outcomes[delayed] == SILENT, late[delayed])
     passed = delayed & (outcomes == bits)
-    assert rear.contains(taus[passed]).all()
+    assert inside(rear, taus[passed]).all()
     assert (outcomes[delayed & ~passed & ~late] == PERP).all()
     assert {PERP, SILENT} <= set(outcomes[delayed].tolist())
     code, channel = _verify_announcement(cfg, *batch.ab[1:])
@@ -990,6 +1076,14 @@ def test_send_backs_with_a_tiny_channel_delay_keep_their_bytes():
         for array in (batch.code, batch.channel, *batch.ba[:2]):
             digest.update(array.tobytes())
     assert digest.hexdigest() == "13f5dacaaf5f419836a87a13277fa19912a7320864aa9094eea7e74dcbac840b"
+
+
+def test_a_negative_zero_channel_delay_writes_the_bytes_of_zero():
+    # the two configs are equal and hash alike, so their transcripts must match to the byte
+    configs = [config(1, 1, channel_delay=delay) for delay in (-0.0, 0.0)]
+    assert configs[0] == configs[1] and hash(configs[0]) == hash(configs[1])
+    texts = [transcript_to_jsonl(run_coin_toss(cfg, strategy_b=SendBack(), seed=0).transcript) for cfg in configs]
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("name", sorted(_VARIANTS))

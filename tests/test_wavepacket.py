@@ -10,7 +10,6 @@ from scipy import integrate, special, stats
 from relqprot.wavepacket import (
     StretchedState,
     Waveform,
-    Window,
     _damped_erf,
     _gaussian_sigma,
     delayed_overlap,
@@ -43,9 +42,9 @@ def quad_overlap(delayed, honest):
         return gd * gh
 
     total = 0.0
-    for win in honest.hump_windows():
-        lo = max(win.lo, min(h.support[0] for _, h in parts_d))
-        hi = min(win.hi, max(h.support[1] for _, h in parts_d))
+    for win_lo, win_hi in (honest.front.nominal_interval, honest.rear.nominal_interval):
+        lo = max(win_lo, min(h.support[0] for _, h in parts_d))
+        hi = min(win_hi, max(h.support[1] for _, h in parts_d))
         if hi > lo:
             points = [h.center for _, h in parts_d + parts_h if lo < h.center < hi] or None
             total += integrate.quad(
@@ -85,20 +84,20 @@ def test_mass_matches_quadrature_inside_support():
 
 def test_window_mass_trivia():
     s = StretchedState.create(1.0, 8.0, bit=0)
-    assert abs(s.window_mass(Window(-INF, INF)) - 1.0) < 1e-12
-    assert abs(s.window_mass(Window(-1.0, 1.0)) - 0.5) < 1e-12
-    assert s.window_mass(Window(2.0, 6.0)) == 0.0
+    assert abs(s.window_mass(-INF, INF) - 1.0) < 1e-12
+    assert abs(s.window_mass(-1.0, 1.0) - 0.5) < 1e-12
+    assert s.window_mass(2.0, 6.0) == 0.0
     # front plus rear windows carry everything
-    total = s.window_mass(Window(-1.0, 1.0)) + s.window_mass(Window(7.0, 9.0))
+    total = s.window_mass(-1.0, 1.0) + s.window_mass(7.0, 9.0)
     assert abs(total - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("xi", [2.0, 4.0])
 def test_tailed_window_masses(xi):
     s = StretchedState.create(1.0, 8.0, bit=1, tail_exponent=xi)
-    per_hump = s.window_mass(Window(-1.0, 1.0))
+    per_hump = s.window_mass(-1.0, 1.0)
     assert abs(per_hump - (0.5 - 0.5 * math.exp(-xi))) < 1e-9
-    covering = s.window_mass(Window(-1.0, 9.0))
+    covering = s.window_mass(-1.0, 9.0)
     assert covering < 1.0
     assert 1.0 - covering <= math.exp(-xi)
 
@@ -108,7 +107,7 @@ def test_translate_shifted_front_mass():
     delta = 2.75
     moved = StretchedState(Waveform(1.0, delta), Waveform(1.0, 8.0 + delta), 0)
     expected = 0.5 * quad_mass(s.front, -1.0, 1.0)
-    assert abs(moved.window_mass(Window(-1 + delta, 1 + delta)) - expected) < 1e-12
+    assert abs(moved.window_mass(-1 + delta, 1 + delta) - expected) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,8 +120,8 @@ def test_translate_shifted_front_mass():
 def test_mass_is_translation_invariant(delta, lo, span, xi):
     s = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=xi)
     moved = StretchedState(Waveform(1.0, delta, xi), Waveform(1.0, 8.0 + delta, xi), 0)
-    before = s.window_mass(Window(lo, lo + span))
-    after = moved.window_mass(Window(lo + delta, lo + span + delta))
+    before = s.window_mass(lo, lo + span)
+    after = moved.window_mass(lo + delta, lo + span + delta)
     assert after == pytest.approx(before, abs=1e-12)
 
 
@@ -178,7 +177,7 @@ def test_sampled_fire_times_match_window_mass():
     n = 100_000
     taus = s._place_fires(s._fire_draws(rng, n))
     for horizon in [-0.5, 1.0, 4.0, 7.5, 9.0]:
-        p = s.window_mass(Window(-INF, horizon)) if horizon > -1 else 0.0
+        p = s.window_mass(-INF, horizon) if horizon > -1 else 0.0
         freq = np.count_nonzero(taus <= horizon) / n
         sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(freq - p) <= max(3 * sigma, 2e-4)
@@ -271,9 +270,9 @@ def test_gaussian_rear_copy_closed_form(xi, width, sep):
     # 1/2 [M_rear(W) + exp(-S^2 / (8 sigma^2)) M_mid(W)]^2
     s = StretchedState.create(width, sep, 0, xi)
     mid = Waveform(width, 0.5 * sep, xi)
-    windows = s.hump_windows()
-    m_rear = sum(s.rear.mass(w.lo, w.hi) for w in windows)
-    m_mid = sum(mid.mass(w.lo, w.hi) for w in windows)
+    windows = (s.front.nominal_interval, s.rear.nominal_interval)
+    m_rear = sum(s.rear.mass(lo, hi) for lo, hi in windows)
+    m_mid = sum(mid.mass(lo, hi) for lo, hi in windows)
     expected = 0.5 * (m_rear + math.exp(-(sep**2) / (8.0 * s.front.sigma**2)) * m_mid) ** 2
     assert delayed_overlap(s.rear, s) == pytest.approx(expected, abs=1e-15)
 
@@ -319,16 +318,15 @@ def test_validation_errors():
     near = StretchedState.create(1.0, 8.0, bit=0, tail_exponent=744.0)  # still accepted
     assert near.front.sigma == pytest.approx(0.026, abs=5e-4)
     assert delayed_overlap(near.rear, near) == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        Window(2.0, 2.0)
-    with pytest.raises(ValueError, match="must be numbers"):
-        Window(math.nan, 2.0)
+    for lo, hi in [(2.0, 2.0), (math.nan, 2.0), (-1.0, math.nan)]:
+        with pytest.raises(ValueError, match="hi > lo"):
+            StretchedState.create(1.0, 8.0, bit=0).window_mass(lo, hi)
     with pytest.raises(ValueError, match="one profile family"):
         StretchedState(Waveform(1.0), Waveform(2.0, center=8.0), 0)
     with pytest.raises(ValueError, match="must trail"):
         StretchedState(Waveform(1.0, center=8.0), Waveform(1.0), 0)
     with pytest.raises(TypeError, match="expected Waveform or StretchedState"):
-        delayed_overlap(Window(7.0, 9.0), StretchedState.create(1.0, 8.0, bit=0))
+        delayed_overlap((7.0, 9.0), StretchedState.create(1.0, 8.0, bit=0))
     with pytest.raises(ValueError):
         StretchedState.create(1.0, 1.5, bit=0)  # overlapping compact humps
     with pytest.raises(ValueError):
