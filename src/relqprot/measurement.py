@@ -50,12 +50,16 @@ def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> floa
     only part of the state is accessible, the detector fires with the
     window mass and the silent branch is a blind guess:
     ``composite_error(mass, helstrom_error(...), min(p0, p1))``.  Complex
-    matrices keep their phases.
+    matrices keep their phases, an object array among them when an entry is complex.
     """
-    dtype = complex if np.iscomplexobj(rho0) or np.iscomplexobj(rho1) else float
+    rho0, rho1 = np.asarray(rho0), np.asarray(rho1)
+    entries = [x for rho in (rho0, rho1) if rho.dtype == object for x in rho.flat]
+    dtype = complex if any(map(np.iscomplexobj, [rho0, rho1, *entries])) else float
     rho0, rho1 = np.asarray(rho0, dtype=dtype), np.asarray(rho1, dtype=dtype)
     if rho0.ndim != 2 or rho0.shape[0] != rho0.shape[1] or rho1.shape != rho0.shape:
         raise ValueError("density matrices must be square and of one size")
+    if not (np.isfinite(rho0).all() and np.isfinite(rho1).all()):
+        raise ValueError("density matrices must be finite")
     gamma = prior.p1 * rho1 - prior.p0 * rho0
     scale = max(1.0, float(np.abs(gamma).max(initial=0.0)))
     if float(np.abs(gamma - gamma.conj().T).max(initial=0.0)) > _HERMITIAN_TOL * scale:

@@ -492,8 +492,7 @@ def _render(config, batch, starts, phases, early_guess, verdict_actor, verdict_p
     order = np.lexsort((channels, det_t))  # stable: A->B first at equal (t, channel)
     det_t, codes = det_t[order], codes[order].tolist()
     tau_text = list(map(repr, taus[order].tolist()))
-    # with no delay t is tau, unless tau is -0.0, as -0.0 + 0.0 is 0.0
-    t_text = tau_text if not delay and "-0.0" not in tau_text else list(map(repr, det_t.tolist()))
+    t_text = tau_text if not delay else list(map(repr, det_t.tolist()))
     det_lines = [f'{_DETECT_HEAD[k]}{c}{_DETECT_MID[k]}{tau}}},"t":{t}}}'
                  for k, c, tau, t in zip(codes, channels[order].tolist(), tau_text, t_text)]
     t_d = tau_d + delay  # the wall time of disclosure

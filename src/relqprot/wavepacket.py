@@ -205,26 +205,18 @@ class StretchedState:
         taus = self.front._place(draws[1])
         return np.add(taus, self.separation, out=taus, where=draws[0])
 
+    def _inside(self, draws):
+        """Whether every fire of ``_fire_draws`` is compact with U > 0, hence inside its hump window:
+        U >= 2^-53 gives |t| < 1 - 5.2e-9, and as each rounded step of the placement is monotone,
+        a front fire is placed at most at the front's top and a rear one at least at the rear's bottom."""
+        return self.front.is_compact and draws[1][0].min(initial=1.0) > 0.0
+
     def _fired_by(self, draws, horizon: float):
-        """Whether each fire of ``_fire_draws`` lies at or before ``horizon``,
-        written over the hump coins: the coin alone decides when every front
-        fire the sampler can place is at most the horizon and every rear fire past it."""
-        bounds = self._fire_bounds()
-        if bounds is not None and bounds[0] <= horizon < bounds[1]:
+        """Whether each fire of ``_fire_draws`` lies at or before ``horizon``, written over the
+        hump coins: the coin alone decides for fires ``_inside`` with the horizon in the hump gap."""
+        if self.front.nominal_interval[1] <= horizon < self.rear.nominal_interval[0] and self._inside(draws):
             return np.logical_not(draws[0], out=draws[0])
         return np.less_equal(self._place_fires(draws), horizon, out=draws[0])
-
-    @lru_cache(maxsize=None)
-    def _fire_bounds(self):
-        """The sampler's own placement of U = 0, V = 0 in the front hump and of U = 0,
-        V = 1/2 in the rear one (the front's top, the rear's bottom), None for the
-        Gaussian.  As |t| <= sqrt(1 - sqrt(U)) and each rounded step of the placement
-        is monotone, every compact front fire lies at or below the first and every
-        rear fire at or above the second."""
-        if not self.front.is_compact:
-            return None
-        draws = (np.array([False, True]), (np.zeros(2), np.array([0.0, 0.5])))
-        return tuple(self._place_fires(draws).tolist())
 
     def _classes(self, taus, bits):
         """Outcome codes of fires at ``taus`` carrying ``bits``: the bit inside
@@ -235,11 +227,10 @@ class StretchedState:
 
     def _outcomes(self, rng, bits, shift: float = 0.0):
         """A call, made once, that gives the fire coordinates moved by ``shift``, and the outcome
-        codes of channels carrying ``bits``.  An unshifted compact fire with U > 0 lies inside its
-        hump window in the model, so with every U of the draw above 0 the codes copy the bits and
-        the call places the draws.  Every other fire is placed, moved and classed now."""
+        codes of channels carrying ``bits``.  Unshifted fires ``_inside`` their windows take their bits,
+        and the call places the draws.  Every other fire is placed, moved and classed now."""
         draws = self._fire_draws(rng, bits.shape)
-        if self.front.is_compact and not shift and draws[1][0].min(initial=1.0) > 0.0:
+        if not shift and self._inside(draws):
             return lambda: self._place_fires(draws), bits.copy()
         taus = self._place_fires(draws) + shift
         return lambda: taus, self._classes(taus, bits)

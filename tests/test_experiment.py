@@ -320,15 +320,16 @@ class _ExtremeDraws(np.random.Generator):
         return np.ones(size, np.int64)
 
 
-@pytest.mark.parametrize("tau_d, fires", [
-    (7.999999999999999, 6),  # the rear hump's lower extreme, a tie that fires
-    (np.nextafter(7.999999999999999, 0.0), 4),
-    (np.nextafter(1e-15, 1.0), 4),  # one ulp past the front hump's upper extreme
+@pytest.mark.parametrize("tau_d, fires, width, separation", [
+    (7.999999999999999, 6, 1e-15, 8.0),  # the rear hump's lower extreme, a tie that fires
+    (np.nextafter(7.999999999999999, 0.0), 4, 1e-15, 8.0),
+    (np.nextafter(1e-15, 1.0), 4, 1e-15, 8.0),  # one ulp past the front hump's upper extreme
+    # in the hump gap: a U = 0 rear fire is placed one ulp below its window's edge 7.5
+    (7.499999999999999, 6, 7.0, 14.5),
 ])
-def test_identification_classes_extreme_fires_as_their_placement(tau_d, fires):
-    cfg = ProtocolConfig(1, 1, width=1e-15, separation=8.0, disclosure_time=tau_d)
+def test_identification_classes_extreme_fires_as_their_placement(tau_d, fires, width, separation):
+    cfg = ProtocolConfig(1, 1, width=width, separation=separation, disclosure_time=tau_d)
     state = cfg.make_state()
-    assert state._fire_bounds() == (1e-15, 7.999999999999999)
     placed = state._place_fires(state._fire_draws(_ExtremeDraws(np.random.PCG64(0)), 8)) <= tau_d
     successes, _ = experiment._kernel_identification(cfg, {}, 8, _ExtremeDraws(np.random.PCG64(0)))
     assert successes == np.count_nonzero(placed) == fires

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -249,6 +250,22 @@ def test_helstrom_keeps_the_phases_of_complex_states():
         helstrom_error(PriorPair.even(), np.array([[0.5, 0.5j], [0.5j, 0.5]]), plus)
     with pytest.raises(ValueError):
         helstrom_error(PriorPair.even(), [["a", "b"], ["c", "d"]], plus)
+
+
+@pytest.mark.parametrize("rho, error", [
+    (np.diag([math.nan, 1.0]), "finite"),
+    (np.diag([math.inf, 1.0]), "finite"),
+    (np.array([[None, 0.0], [0.0, 1.0]], dtype=object), "finite"),  # None reads as NaN
+    (np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=object), None),  # |+i><+i|
+    (np.full((2, 2), Fraction(1, 2), dtype=object), None),  # |+><+|, read as real
+], ids=["nan", "inf", "object-none", "object-complex", "object-fractions"])
+def test_helstrom_reads_object_arrays_and_rejects_non_finite_entries(rho, error):
+    if error is None:  # either state against |0><0| has overlap 1/2
+        expected = 0.5 * (1.0 - math.sqrt(0.5))
+        assert helstrom_error(PriorPair.even(), rho, np.diag([1.0, 0.0])) == pytest.approx(expected, abs=1e-15)
+    else:
+        with pytest.raises(ValueError, match=error):
+            helstrom_error(PriorPair.even(), rho, np.diag([1.0, 0.0]))
 
 
 def test_helstrom_rejects_non_hermitian():

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import relqprot
-from relqprot import protocol
+from relqprot import ExperimentSpec, protocol
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,3 +95,14 @@ def test_tracer_records_the_early_guess(monkeypatch):
     assert result.early_guess is not None
     calls, _ = tracer.layer_totals()
     assert calls["exact_parity_guesser"] == 1
+
+
+def test_reproduced_claims_table_names_every_spec_and_each_builds():
+    # the README table, one row a spec: claim | `specs/name.json` | cells | reference
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Reproduced claims", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| [^|]+ \| `(specs/[\w.]+)` \| (\d+) \|", section, re.MULTILINE)
+    assert sorted(path for path, _ in rows) == sorted(f"specs/{p.name}" for p in (ROOT / "specs").glob("*.json"))
+    for path, cells in rows:
+        spec = ExperimentSpec.from_dict(json.loads((ROOT / path).read_text()))
+        assert len(spec.cells()) == int(cells), path

@@ -723,6 +723,62 @@ def test_verification_agrees_with_its_docstring_on_every_input(n, k):
     assert got == expected
 
 
+def honest_announcement(n, k, rows):
+    """``rows`` copies of an honest announcement: channel c in block c // k, block b of value b % 2."""
+    blocks = np.tile(np.arange(n * k) // k, (rows, 1))
+    return blocks % 2, blocks
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 1), (1, 3)])
+def test_verdict_reasons_follow_the_first_failing_channel_law(n, k):
+    # each channel shows its bit, PERP or SILENT, independently, with the
+    # weights below; the first channel that fails names the reason, so reason r
+    # has weight p_r / q * (1 - (1 - q)^(N k)), q the total fail weight
+    weights = {PERP: Fraction(1, 7), SILENT: Fraction(2, 9)}
+    q, nk = sum(weights.values()), n * k
+    classes = np.indices((3,) * nk).reshape(nk, -1).T  # 0 the bit, 1 PERP, 2 SILENT
+    bits, blocks = honest_announcement(n, k, len(classes))
+    outcomes = np.choose(classes, [bits, PERP, SILENT])
+    code, _ = _verify_announcement(config(n, k), outcomes, bits, blocks)
+    law = {}
+    for row, c in zip(outcomes.tolist(), code.tolist()):
+        law[c] = law.get(c, 0) + math.prod(weights.get(o, 1 - q) for o in row)
+    assert law == {0: (1 - q) ** nk} | {
+        list(AbortReason).index(_MISSED_REASON[o]) + 1: p / q * (1 - (1 - q) ** nk) for o, p in weights.items()
+    }
+
+
+class _PassCoins(np.random.Generator):
+    """Draws of a real generator, except that the third ``random`` call, the
+    pass coins of a compact delayed copy, reads ``coins``."""
+
+    def __init__(self, coins):
+        super().__init__(np.random.PCG64(0))
+        self.coins, self.calls = coins, 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return self.coins if self.calls == 3 else super().random(size)
+
+
+@pytest.mark.parametrize("n, k, m", [(2, 2, 1), (3, 2, 2), (4, 1, 2)])
+def test_delayer_acceptance_is_the_pass_probability_per_delayed_channel(n, k, m):
+    # every pass (coin 0) or fail (the largest draw below 1) of the m k delayed
+    # channels, classed by _rear_copies, weighted by the pass probability p
+    state = config(n, k).make_state()
+    p_pass = _delay_pass_probability(state)
+    passes = np.indices((2,) * (m * k)).reshape(m * k, -1).T.astype(bool)
+    bits, blocks = honest_announcement(n, k, len(passes))
+    delayed = blocks >= n - m  # the last m blocks
+    coins = np.where(passes, 0.0, 1.0 - 2.0**-53)
+    outcomes = bits.copy()
+    outcomes[delayed] = state._rear_copies(_PassCoins(coins), bits[delayed].reshape(coins.shape), p_pass)[1].ravel()
+    code, _ = _verify_announcement(config(n, k), outcomes, bits, blocks)
+    p = Fraction(p_pass)
+    accepted = sum(p ** int(row.sum()) * (1 - p) ** int((~row).sum()) for row in passes[code == 0])
+    assert accepted == p ** (m * k)
+
+
 @pytest.mark.parametrize(
     "run, options",
     [

@@ -183,6 +183,31 @@ def test_sampled_fire_times_match_window_mass():
         assert abs(freq - p) <= max(3 * sigma, 2e-4)
 
 
+def test_fires_with_the_least_positive_u_are_placed_inside_their_windows():
+    # U = 2^-53 is the least positive Generator.random draw; V = 0 and 1/2 give
+    # the top and the bottom of each hump, one of them the side that faces the gap
+    for width in np.geomspace(1e-15, 1e3, 300).tolist():
+        for sep in (8.0, 2.5 * width, 3.0 * width + 1.0, 2.0000001 * width):
+            if sep > 2.0 * width:
+                s = StretchedState.create(width, sep, bit=0)
+                draws = (np.array([False, False, True, True]), (np.full(4, 2.0**-53), np.array([0.0, 0.5, 0.0, 0.5])))
+                assert s._inside(draws)
+                taus = s._place_fires(draws)
+                assert taus[:2].max() <= s.front.nominal_interval[1], (width, sep)
+                assert taus[2:].min() >= s.rear.nominal_interval[0], (width, sep)
+
+
+@pytest.mark.parametrize("wf, draws", [
+    # U = 1 gives sqrt(1 - sqrt(U)) = 0 and cos(3 pi / 2) rounds below 0, so t = -0.0
+    (Waveform(1.0), (np.ones(1), np.full(1, 0.75))),
+    (Waveform(1.0, tail_exponent=1.0), (np.full(1, -0.0),)),
+], ids=["bump", "gaussian"])
+def test_placement_writes_no_negative_zero(wf, draws):
+    assert math.cos(1.5 * math.pi) < 0.0
+    (tau,) = wf._place(draws).tolist()
+    assert tau == 0.0 and math.copysign(1.0, tau) == 1.0
+
+
 def test_delayed_overlap_rear_copy_is_half():
     s = StretchedState.create(1.0, 8.0, bit=0)
     assert delayed_overlap(s.rear, s) == pytest.approx(0.5, abs=1e-15)
