@@ -20,7 +20,6 @@ from .experiment import (
     wilson_interval,
 )
 from .measurement import (
-    PriorPair,
     composite_error,
     helstrom_error,
 )
@@ -65,4 +64,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"

@@ -81,9 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--xi", "--tail-exponent", dest="tail_exponent", type=float)
     run.add_argument("--disclosure-time", type=float)
     run.add_argument("--seed", dest="master_seed", type=int)
-    run.add_argument("--strategy-a", choices=("honest", "delay"), default="honest")
     run.add_argument("--delay-blocks",
-                     help="comma-separated block indices withheld under --strategy-a delay (0)")
+                     help="bit commitment only: comma-separated block indices the sender withholds")
     run.add_argument("--strategy-b", choices=tuple(_STRATEGIES_B), default="honest")
     run.add_argument("--no-half-disclosure", action="store_true",
                      help="coin toss only: disclose everything in one phase")
@@ -179,22 +178,18 @@ def _cmd_run(args) -> int:
     if args.verbose:
         print(f"config: {config}", file=sys.stderr)
 
-    if args.delay_blocks is not None and args.strategy_a != "delay":
-        raise ValueError("--delay-blocks applies to --strategy-a delay only")
     strategy_b = _STRATEGIES_B[args.strategy_b]
     if args.protocol == "bc":
         if args.strategy_b == "sendback":
             raise ValueError("the send-back strategy applies to the coin toss only")
         if args.no_half_disclosure:
             raise ValueError("--no-half-disclosure applies to the coin toss only")
-        strategy_a = HONEST
-        if args.strategy_a == "delay":
-            blocks = "0" if args.delay_blocks is None else args.delay_blocks
-            strategy_a = DelayBlocks(_delay_blocks(blocks))
+        blocks = args.delay_blocks
+        strategy_a = HONEST if blocks is None else DelayBlocks(_delay_blocks(blocks))
         result = run_bit_commitment(config, strategy_a, strategy_b)
     else:
-        if args.strategy_a == "delay":
-            raise ValueError("the delay strategy applies to bit commitment only")
+        if args.delay_blocks is not None:
+            raise ValueError("--delay-blocks applies to bit commitment only")
         result = run_coin_toss(
             config,
             strategy_b=strategy_b,

@@ -8,13 +8,9 @@ outcomes themselves are drawn and verified by the protocol engine.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "PriorPair",
     "helstrom_error",
     "composite_error",
 ]
@@ -22,36 +18,19 @@ __all__ = [
 _HERMITIAN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PriorPair:
-    """Prior probabilities with which the two hypotheses are prepared."""
-
-    p0: float
-    p1: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("p0", self.p0), ("p1", self.p1)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
-
-    @classmethod
-    def even(cls) -> "PriorPair":
-        return cls(0.5, 0.5)
-
-
-def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> float:
+def helstrom_error(p0: float, rho0: np.ndarray, rho1: np.ndarray) -> float:
     """Minimum-error discrimination of two internal states at full access.
 
     The optimal binary measurement projects onto the negative eigenspace of
-    Gamma = p1 * rho1 - p0 * rho0; the residual error is p0 plus the sum of
-    the negative eigenvalues, so orthogonal states give zero error.  When
-    only part of the state is accessible, the detector fires with the
-    window mass and the silent branch is a blind guess:
-    ``composite_error(mass, helstrom_error(...), min(p0, p1))``.  Complex
+    Gamma = (1 - p0) * rho1 - p0 * rho0, for p0 the prior of rho0; the residual
+    error is p0 plus the sum of the negative eigenvalues, so orthogonal states
+    give zero error.  When only part of the state is accessible, the detector
+    fires with the window mass and the silent branch is a blind guess:
+    ``composite_error(mass, helstrom_error(...), min(p0, 1 - p0))``.  Complex
     matrices keep their phases, an object array among them when an entry is complex.
     """
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError(f"p0 must be a probability, got {p0!r}")
     rho0, rho1 = np.asarray(rho0), np.asarray(rho1)
     entries = [x for rho in (rho0, rho1) if rho.dtype == object for x in rho.flat]
     dtype = complex if any(map(np.iscomplexobj, [rho0, rho1, *entries])) else float
@@ -60,12 +39,12 @@ def helstrom_error(prior: PriorPair, rho0: np.ndarray, rho1: np.ndarray) -> floa
         raise ValueError("density matrices must be square and of one size")
     if not (np.isfinite(rho0).all() and np.isfinite(rho1).all()):
         raise ValueError("density matrices must be finite")
-    gamma = prior.p1 * rho1 - prior.p0 * rho0
+    gamma = (1.0 - p0) * rho1 - p0 * rho0
     scale = max(1.0, float(np.abs(gamma).max(initial=0.0)))
     if float(np.abs(gamma - gamma.conj().T).max(initial=0.0)) > _HERMITIAN_TOL * scale:
         raise ValueError("density matrices must be Hermitian")
     vals = np.linalg.eigvalsh(gamma)
-    return max(prior.p0 + float(vals[vals < 0.0].sum()), 0.0)
+    return max(p0 + float(vals[vals < 0.0].sum()), 0.0)
 
 
 def composite_error(p_fire: float, pe_fired: float, pe_silent: float) -> float:

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .parity import _integer, _natural, _validate_nk, exact_parity_guesser
-from .wavepacket import PERP, SILENT, StretchedState, delayed_overlap  # noqa: F401  (SILENT re-exported)
+from .wavepacket import PERP, StretchedState, delayed_overlap
 
 __all__ = [
     "AbortReason",

@@ -14,7 +14,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from relqprot.experiment import ExperimentSpec, run_experiment
-from relqprot.measurement import PriorPair, helstrom_error
+from relqprot.measurement import helstrom_error
 from relqprot.parity import (
     count_block_strings,
     count_block_strings_closed,
@@ -206,7 +206,6 @@ def test_criterion_8_helstrom_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         p0 = rng.uniform(0.2, 0.8)
-        prior = PriorPair(p0, 1 - p0)
 
         def density():
             a = rng.normal(size=(2, 2))
@@ -214,9 +213,9 @@ def test_criterion_8_helstrom_oracle_equivalence():
             return m / np.trace(m)
 
         rho0, rho1 = density(), density()
-        res = helstrom_error(prior, rho0, rho1)
-        worst = max(worst, abs(res - _brute_min_error(prior.p0, prior.p1, rho0, rho1)))
-    orthogonal = helstrom_error(PriorPair.even(), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        res = helstrom_error(p0, rho0, rho1)
+        worst = max(worst, abs(res - _brute_min_error(p0, 1 - p0, rho0, rho1)))
+    orthogonal = helstrom_error(0.5, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     ok = worst < 1e-6 and orthogonal == 0.0
     assert report(
         "criterion 8 (discriminator vs projector search)",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -131,8 +132,7 @@ def test_run_bc_delay_large_block(tmp_path, capsys):
     # with k = 8 the one-block delayer escapes with probability 2^-8
     code, out, _ = run_cli(
         [
-            "run", "bc", "-N", "2", "-k", "8", "--seed", "3",
-            "--strategy-a", "delay", "--delay-blocks", "0",
+            "run", "bc", "-N", "2", "-k", "8", "--seed", "3", "--delay-blocks", "0",
             "--out", str(tmp_path / "d.jsonl"),
         ],
         capsys,
@@ -142,33 +142,45 @@ def test_run_bc_delay_large_block(tmp_path, capsys):
     assert "PERP_OUTCOME" in out
 
 
-def test_run_delay_blocks_needs_the_delay_strategy(tmp_path, capsys):
+def test_run_delay_blocks_is_the_delaying_sender(tmp_path, capsys):
     out_path = tmp_path / "t.jsonl"
-    for protocol in ("bc", "ct"):
-        code, out, err = run_cli(
-            ["run", protocol, "-N", "2", "-k", "2", "--delay-blocks", "1",
-             "--out", str(out_path)],
-            capsys,
-        )
-        assert code == 2 and out == "" and "--delay-blocks" in err
-    assert not out_path.exists()
-    # the delay strategy alone withholds block 0
-    paths = {blocks: tmp_path / f"{blocks}.jsonl" for blocks in ("default", "0", "1")}
-    for blocks, path in paths.items():
-        flags = [] if blocks == "default" else ["--delay-blocks", blocks]
-        run_cli(["run", "bc", "-N", "2", "-k", "2", "--seed", "3", "--strategy-a", "delay",
-                 *flags, "--out", str(path)], capsys)
-    assert paths["default"].read_bytes() == paths["0"].read_bytes()
-    assert paths["default"].read_bytes() != paths["1"].read_bytes()
-    assert '"delayed":true' in paths["default"].read_text()
+    run_cli(["run", "bc", "-N", "2", "-k", "2", "--seed", "3", "--delay-blocks", "0",
+             "--out", str(out_path)], capsys)
+    assert '"delayed":true' in out_path.read_text()
+    ct_path = tmp_path / "ct.jsonl"
+    code, out, err = run_cli(
+        ["run", "ct", "-N", "2", "-k", "2", "--delay-blocks", "1", "--out", str(ct_path)], capsys
+    )
+    assert code == 2 and out == "" and "--delay-blocks" in err
+    assert not ct_path.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "bc", "-N", "2", "-k", "2", "--strategy-a", "delay"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments" in err
+
+
+def test_run_delay_blocks_keep_their_bytes(tmp_path, capsys):
+    # one SHA-256 over the JSONL and stdout of two delaying runs, taken when
+    # the delaying sender was chosen by a separate strategy flag
+    digest = hashlib.sha256()
+    for blocks in ("0", "0,3"):
+        out_path = tmp_path / "t.jsonl"
+        code, out, _ = run_cli(["run", "bc", "-N", "4", "-k", "2", "--seed", "3",
+                                "--strategy-b", "earlyguess", "--delay-blocks", blocks,
+                                "--out", str(out_path)], capsys)
+        assert code == 4
+        digest.update(out_path.read_bytes())
+        digest.update(out.encode())
+    assert digest.hexdigest() == "86c90fe3c0e8acb4ae506c1d09634b2c99defc882a5cc4d7c62f09b55620f3d4"
 
 
 @pytest.mark.parametrize("blocks", ["", ",", " , "])
 def test_run_rejects_an_empty_delay_block_list(blocks, tmp_path, capsys):
-    # an empty list would run as an honest sender under the delay strategy
+    # an empty list would run as an honest sender
     out_path = tmp_path / "t.jsonl"
     code, out, err = run_cli(
-        ["run", "bc", "-N", "2", "-k", "8", "--seed", "3", "--strategy-a", "delay",
+        ["run", "bc", "-N", "2", "-k", "8", "--seed", "3",
          "--delay-blocks", blocks, "--out", str(out_path)],
         capsys,
     )
@@ -207,7 +219,7 @@ def test_run_usage_errors(tmp_path, capsys, recwarn):
     )
     assert code == 2 and "send-back" in err
     code, _, err = run_cli(
-        ["run", "ct", "-N", "2", "-k", "2", "--strategy-a", "delay"], capsys
+        ["run", "ct", "-N", "2", "-k", "2", "--delay-blocks", "0"], capsys
     )
     assert code == 2 and "delay" in err
     code, _, err = run_cli(
@@ -217,8 +229,7 @@ def test_run_usage_errors(tmp_path, capsys, recwarn):
     code, _, err = run_cli(["run", "bc", "-k", "2"], capsys)
     assert code == 2
     code, _, err = run_cli(
-        ["run", "bc", "-N", "2", "-k", "2", "--strategy-a", "delay",
-         "--delay-blocks", "zero"],
+        ["run", "bc", "-N", "2", "-k", "2", "--delay-blocks", "zero"],
         capsys,
     )
     assert code == 2
@@ -228,7 +239,7 @@ def test_run_usage_errors(tmp_path, capsys, recwarn):
     )
     assert code == 2 and err.startswith("error:") and "below 1" in err
     code, _, err = run_cli(
-        ["run", "bc", "-N", "2", "-k", "2", "--xi", "800", "--strategy-a", "delay",
+        ["run", "bc", "-N", "2", "-k", "2", "--xi", "800",
          "--delay-blocks", "0", "--out", str(tmp_path / "t.jsonl")],
         capsys,
     )

@@ -8,21 +8,19 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from relqprot.measurement import (
-    PriorPair,
     composite_error,
     helstrom_error,
 )
 from relqprot.parity import _evidence_weights, pc_parity_optimal
 from relqprot.protocol import (
     PERP,
-    SILENT,
     AbortReason,
     ProtocolConfig,
     _delay_pass_probability,
     _verify_announcement,
     simulate,
 )
-from relqprot.wavepacket import StretchedState, Waveform, delayed_overlap
+from relqprot.wavepacket import SILENT, StretchedState, Waveform, delayed_overlap
 
 
 def make_state(bit=0, xi=None):
@@ -176,8 +174,7 @@ def brute_force_min_error(p0, p1, rho0, rho1):
 
 
 def test_helstrom_orthogonal_states_are_free():
-    prior = PriorPair.even()
-    res = helstrom_error(prior, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    res = helstrom_error(0.5, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert res == 0.0
     for mass in (0.1, 0.5, 1.0):
         # restricted access errs only in the silent branch, by a blind guess
@@ -185,9 +182,8 @@ def test_helstrom_orthogonal_states_are_free():
 
 
 def test_helstrom_identical_states_force_guessing():
-    prior = PriorPair.even()
     rho = np.array([[0.7, 0.1], [0.1, 0.3]])
-    res = helstrom_error(prior, rho, rho)
+    res = helstrom_error(0.5, rho, rho)
     assert res == pytest.approx(0.5, abs=1e-12)
     # no mass of the window can beat the blind guess
     assert composite_error(0.8, res, 0.5) == pytest.approx(0.5, abs=1e-12)
@@ -196,16 +192,14 @@ def test_helstrom_identical_states_force_guessing():
 def test_helstrom_takes_the_prior_once():
     # rho1 is the maximally mixed state, so no measurement beats guessing the
     # likelier hypothesis 1, which errs with p0
-    prior = PriorPair(0.2, 0.8)
     rho0, rho1 = np.diag([1.0, 0.0]), np.diag([0.5, 0.5])
-    res = helstrom_error(prior, rho0, rho1)
+    res = helstrom_error(0.2, rho0, rho1)
     assert res == pytest.approx(0.2, abs=1e-12)
     assert res == pytest.approx(brute_force_min_error(0.2, 0.8, rho0, rho1), abs=1e-10)
 
 
 def test_helstrom_canonical_diagonal_case():
-    prior = PriorPair.even()
-    res = helstrom_error(prior, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    res = helstrom_error(0.5, np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
     assert res == pytest.approx(0.0, abs=1e-15)
 
 
@@ -214,13 +208,12 @@ def test_helstrom_matches_brute_force_projector_search():
     worst = 0.0
     for _ in range(100):
         p0 = rng.uniform(0.2, 0.8)
-        prior = PriorPair(p0, 1 - p0)
         rho0, rho1 = random_density(rng), random_density(rng)
         mass = rng.uniform(0.2, 1.0)
-        silent = min(prior.p0, prior.p1)
-        res = helstrom_error(prior, rho0, rho1)
+        silent = min(p0, 1 - p0)
+        res = helstrom_error(p0, rho0, rho1)
         total = composite_error(mass, res, silent)
-        brute = brute_force_min_error(prior.p0, prior.p1, rho0, rho1)
+        brute = brute_force_min_error(p0, 1 - p0, rho0, rho1)
         brute = composite_error(mass, brute, silent)
         worst = max(worst, abs(total - brute))
         assert res <= silent + 1e-12
@@ -230,26 +223,25 @@ def test_helstrom_matches_brute_force_projector_search():
 def test_helstrom_error_vanishes_only_for_orthogonal_ensembles():
     # with even priors, zero error needs perfectly distinguishable states
     rng = np.random.default_rng(11)
-    prior = PriorPair.even()
     for _ in range(50):
         rho0, rho1 = random_density(rng), random_density(rng)
-        res = helstrom_error(prior, rho0, rho1)
+        res = helstrom_error(0.5, rho0, rho1)
         overlap = float(np.trace(rho0 @ rho1))
         if overlap > 1e-6:
             assert res > 0.0
-    ortho = helstrom_error(prior, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    ortho = helstrom_error(0.5, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert ortho == 0.0
 
 
 def test_helstrom_keeps_the_phases_of_complex_states():
     plus, plus_i = np.full((2, 2), 0.5), np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    res = helstrom_error(PriorPair.even(), plus, plus_i)
+    res = helstrom_error(0.5, plus, plus_i)
     assert res == pytest.approx(0.5 * (1.0 - math.sqrt(0.5)), abs=1e-15)
     # complex symmetric is not Hermitian
     with pytest.raises(ValueError, match="Hermitian"):
-        helstrom_error(PriorPair.even(), np.array([[0.5, 0.5j], [0.5j, 0.5]]), plus)
+        helstrom_error(0.5, np.array([[0.5, 0.5j], [0.5j, 0.5]]), plus)
     with pytest.raises(ValueError):
-        helstrom_error(PriorPair.even(), [["a", "b"], ["c", "d"]], plus)
+        helstrom_error(0.5, [["a", "b"], ["c", "d"]], plus)
 
 
 @pytest.mark.parametrize("rho, error", [
@@ -262,27 +254,27 @@ def test_helstrom_keeps_the_phases_of_complex_states():
 def test_helstrom_reads_object_arrays_and_rejects_non_finite_entries(rho, error):
     if error is None:  # either state against |0><0| has overlap 1/2
         expected = 0.5 * (1.0 - math.sqrt(0.5))
-        assert helstrom_error(PriorPair.even(), rho, np.diag([1.0, 0.0])) == pytest.approx(expected, abs=1e-15)
+        assert helstrom_error(0.5, rho, np.diag([1.0, 0.0])) == pytest.approx(expected, abs=1e-15)
     else:
         with pytest.raises(ValueError, match=error):
-            helstrom_error(PriorPair.even(), rho, np.diag([1.0, 0.0]))
+            helstrom_error(0.5, rho, np.diag([1.0, 0.0]))
 
 
 def test_helstrom_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        helstrom_error(PriorPair.even(), np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+        helstrom_error(0.5, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
 def test_helstrom_larger_internal_space():
-    prior = PriorPair.even()
+    p0 = 0.5
     rng = np.random.default_rng(9)
     a = rng.normal(size=(3, 3))
     rho0 = a @ a.T / np.trace(a @ a.T)
     b = rng.normal(size=(3, 3))
     rho1 = b @ b.T / np.trace(b @ b.T)
-    res = helstrom_error(prior, rho0, rho1)
-    vals = np.linalg.eigvalsh(prior.p1 * rho1 - prior.p0 * rho0)
-    assert res == pytest.approx(prior.p0 + vals[vals < 0].sum(), abs=1e-12)
+    res = helstrom_error(p0, rho0, rho1)
+    vals = np.linalg.eigvalsh((1 - p0) * rho1 - p0 * rho0)
+    assert res == pytest.approx(p0 + vals[vals < 0].sum(), abs=1e-12)
 
 
 def restricted_parity_states(n, k, p):
@@ -309,7 +301,7 @@ def test_count_guesser_attains_the_helstrom_bound_of_the_restricted_states(p):
     # the Helstrom success equals the count law's optimum at any fire probability
     for n, k in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (1, 4)]:
         w_even, w_odd = restricted_parity_states(n, k, p)
-        helstrom = 1.0 - helstrom_error(PriorPair.even(), np.diag(2 * w_even), np.diag(2 * w_odd))
+        helstrom = 1.0 - helstrom_error(0.5, np.diag(2 * w_even), np.diag(2 * w_odd))
         nk = n * k
         counts = sum(
             p ** (a + b) * (1.0 - p) ** (nk - a - b) * max(_evidence_weights(n, k, a, b))
@@ -331,26 +323,17 @@ def test_composite_error_values():
         composite_error(1.5, 0.0, 0.0)
 
 
-def test_prior_pair_validation():
-    with pytest.raises(ValueError):
-        PriorPair(0.6, 0.6)
-    with pytest.raises(ValueError):
-        PriorPair(-0.1, 1.1)
-    assert PriorPair.even().p0 == 0.5
-
-
-@pytest.mark.parametrize("p0, p1, name", [(math.nan, 0.5, "p0"), (0.5, math.nan, "p1"),
-                                          (math.inf, 0.0, "p0"), (0.0, -math.inf, "p1")])
-def test_prior_pair_rejects_non_finite_priors_by_name(p0, p1, name):
-    # a NaN prior passes both the sign test and the sum test, as every comparison with it is false
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        PriorPair(p0, p1)
+@pytest.mark.parametrize("p0", [-0.1, 1.1, math.nan, math.inf, -math.inf])
+def test_helstrom_rejects_a_prior_outside_the_unit_interval(p0):
+    # every comparison with NaN is false, so the range test rejects it as well
+    with pytest.raises(ValueError, match="^p0 must be a probability"):
+        helstrom_error(p0, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
 
 def test_helstrom_rejects_malformed_states():
     with pytest.raises(ValueError):
-        helstrom_error(PriorPair.even(), np.zeros((2, 3)), np.zeros((2, 3)))
+        helstrom_error(0.5, np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        helstrom_error(PriorPair.even(), np.eye(2) / 2, np.eye(3) / 3)
+        helstrom_error(0.5, np.eye(2) / 2, np.eye(3) / 3)
     with pytest.raises(ValueError):
         composite_error(1.4, 0.0, 0.5)  # the accessible mass is a probability

@@ -22,11 +22,13 @@ def test_version_matches_pyproject():
 
 def test_removed_names_are_not_exported():
     for name in ("EnumerationBoundError", "accessible_horizon", "block_string_parity",
-                 "p_fixed_block", "p_acc_fixed", "Window", "HelstromResult"):
+                 "p_fixed_block", "p_acc_fixed", "Window", "HelstromResult", "PriorPair"):
         assert not hasattr(relqprot, name)
     for name in ("block_string_parity", "p_fixed_block", "p_acc_fixed"):
         assert not hasattr(relqprot.parity, name)
-    assert not hasattr(relqprot.wavepacket, "Window") and not hasattr(relqprot.measurement, "HelstromResult")
+    assert not hasattr(relqprot.wavepacket, "Window")
+    for name in ("HelstromResult", "PriorPair"):
+        assert not hasattr(relqprot.measurement, name)
     for owner, name in [(relqprot.Waveform, "amplitude"), (relqprot.Waveform, "translated"),
                         (relqprot.StretchedState, "translated"), (relqprot.StretchedState, "hump_windows"),
                         (relqprot.StretchedState, "translation"), (relqprot.Waveform, "sample"),

@@ -15,7 +15,6 @@ from relqprot.parity import _optimal_guesses, exact_parity_guesser
 from relqprot.protocol import (
     HONEST,
     PERP,
-    SILENT,
     AbortReason,
     AuditError,
     DelayBlocks,
@@ -35,7 +34,7 @@ from relqprot.protocol import (
     simulate,
     transcript_to_jsonl,
 )
-from relqprot.wavepacket import StretchedState, delayed_overlap
+from relqprot.wavepacket import SILENT, StretchedState, delayed_overlap
 
 
 def config(n=2, k=2, **kwargs):
