@@ -64,4 +64,4 @@ from .wavepacket import (
     delayed_overlap,
 )
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

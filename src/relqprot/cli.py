@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--channel-delay", type=float)
     run.add_argument("--xi", "--tail-exponent", dest="tail_exponent", type=float)
     run.add_argument("--disclosure-time", type=float)
-    run.add_argument("--seed", dest="master_seed", type=int)
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--delay-blocks",
                      help="bit commitment only: comma-separated block indices the sender withholds")
     run.add_argument("--strategy-b", choices=tuple(_STRATEGIES_B), default="honest")
@@ -120,7 +120,7 @@ def _cmd_analytic(args) -> int:
         ("single-block delay escape (p_pass^k)", _fmt(_delay_pass_probability(config.make_state()) ** k)),
     ]
     if args.tail_exponent is not None:
-        rows.append(("tailed honest completion ((1-e^-xi)^(N k))", _fmt(config.honest_completion)))
+        rows.append(("tailed honest completion (p_in_windows^(N k))", _fmt(config.honest_completion)))
     print(f"closed-form rates for N={n} blocks of k={k}")
     width = max(len(label) for label, _ in rows)
     for label, value in rows:
@@ -176,7 +176,7 @@ def _delay_blocks(text: str) -> list[int]:
 def _cmd_run(args) -> int:
     config = _build_config(args)
     if args.verbose:
-        print(f"config: {config}", file=sys.stderr)
+        print(f"config: {config} seed={args.seed}", file=sys.stderr)
 
     strategy_b = _STRATEGIES_B[args.strategy_b]
     if args.protocol == "bc":
@@ -186,7 +186,7 @@ def _cmd_run(args) -> int:
             raise ValueError("--no-half-disclosure applies to the coin toss only")
         blocks = args.delay_blocks
         strategy_a = HONEST if blocks is None else DelayBlocks(_delay_blocks(blocks))
-        result = run_bit_commitment(config, strategy_a, strategy_b)
+        result = run_bit_commitment(config, strategy_a, strategy_b, seed=args.seed)
     else:
         if args.delay_blocks is not None:
             raise ValueError("--delay-blocks applies to bit commitment only")
@@ -194,6 +194,7 @@ def _cmd_run(args) -> int:
             config,
             strategy_b=strategy_b,
             enforce_half_disclosure=not args.no_half_disclosure,
+            seed=args.seed,
         )
 
     if args.out:

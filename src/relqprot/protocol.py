@@ -98,11 +98,9 @@ class ProtocolConfig:
     channel_delay: float = 0.0
     tail_exponent: float | None = None
     disclosure_time: float | None = None
-    master_seed: int = 0
 
     def __post_init__(self) -> None:
         _validate_nk(self.n_blocks, self.block_len)
-        _natural("master_seed", self.master_seed)
         # stored as float (-0.0 as 0.0), so equal geometries give equal transcript bytes
         for name in ("width", "separation", "channel_delay", "tail_exponent", "disclosure_time"):
             if getattr(self, name) is not None or name not in ("tail_exponent", "disclosure_time"):
@@ -133,8 +131,8 @@ class ProtocolConfig:
 
     @property
     def honest_completion(self) -> float:
-        """Chance that an honest run passes: a channel fails only by firing in the tail mass."""
-        return (1.0 - self.make_state().front.tail_mass) ** self.n_channels
+        """Chance that an honest run passes: a channel fails only by firing outside both hump windows."""
+        return self.make_state()._honest_pass() ** self.n_channels
 
     def make_state(self) -> StretchedState:
         """The agreed profile; the engine carries each channel's bit apart."""
@@ -534,7 +532,7 @@ def run_bit_commitment(
     config: ProtocolConfig,
     strategy_a=HONEST,
     strategy_b=HONEST,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> BitCommitmentResult:
     """Execute one commitment: emission, growing access, disclosure, verdict.
 
@@ -548,8 +546,7 @@ def run_bit_commitment(
     if not isinstance(strategy_b, (Honest, EarlyGuess)):
         raise ValueError("receiver strategy must be Honest or EarlyGuess")
     delayed = strategy_a.blocks if isinstance(strategy_a, DelayBlocks) else frozenset()
-    seed = config.master_seed if seed is None else _natural("seed", seed)
-    batch = simulate(config, 1, seed, delayed_blocks=delayed)
+    batch = simulate(config, 1, _natural("seed", seed), delayed_blocks=delayed)
     emits = [_EMIT_BC % (c, "true" if b in delayed else "false")
              for c, b in enumerate(batch.ab[3][0].tolist())]
     phases = [("A", "A->B", range(config.n_channels))]
@@ -565,7 +562,7 @@ def run_coin_toss(
     *,
     strategy_b=HONEST,
     enforce_half_disclosure: bool = True,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> CoinTossResult:
     """Execute one coin toss with staged or single-shot classical disclosure.
 
@@ -579,10 +576,8 @@ def run_coin_toss(
     if not isinstance(strategy_b, (Honest, EarlyGuess, SendBack)):
         raise ValueError("peer strategy must be Honest, EarlyGuess, or SendBack")
     mirror = isinstance(strategy_b, SendBack)
-    seed = config.master_seed if seed is None else _natural("seed", seed)
-    batch = simulate(
-        config, 1, seed, coin_toss=True, mirror=mirror, staged=enforce_half_disclosure
-    )
+    batch = simulate(config, 1, _natural("seed", seed), coin_toss=True, mirror=mirror,
+                     staged=enforce_half_disclosure)
     nk, delay = config.n_channels, config.channel_delay
     if mirror:
         starts = [(0.0, [_EMIT_A % c for c in range(nk)]), (delay, [_MIRROR % (c, delay) for c in range(nk)])]

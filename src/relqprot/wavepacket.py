@@ -88,11 +88,6 @@ class Waveform:
         return _gaussian_sigma(self.width, self.tail_exponent)
 
     @property
-    def tail_mass(self) -> float:
-        """Mass outside the nominal interval (exactly zero when compact)."""
-        return 0.0 if self.tail_exponent is None else math.exp(-self.tail_exponent)
-
-    @property
     def support(self) -> tuple[float, float]:
         if self.is_compact:
             return (self.center - self.width, self.center + self.width)
@@ -224,6 +219,14 @@ class StretchedState:
         (f_lo, f_hi), (r_lo, r_hi) = self.front.nominal_interval, self.rear.nominal_interval
         missed = np.where(taus > r_hi, SILENT, PERP)
         return np.where((f_lo < taus) & (taus < f_hi) | (r_lo < taus) & (taus < r_hi), bits, missed)
+
+    def _honest_pass(self) -> float:
+        """Chance that an honest fire takes its bit by ``_classes``, in either hump window: 1 - e^-xi
+        in its own, plus, by mirror symmetry, the front hump's mass in (max(W, S - W), S + W)."""
+        if self.front.is_compact:
+            return 1.0
+        w, s, cdf = self.front.width, self.separation, NormalDist(0.0, self.front.sigma).cdf
+        return (1.0 - math.exp(-self.front.tail_exponent)) + (cdf(s + w) - cdf(max(w, s - w)))
 
     def _outcomes(self, rng, bits, shift: float = 0.0):
         """A call, made once, that gives the fire coordinates moved by ``shift``, and the outcome

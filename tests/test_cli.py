@@ -254,11 +254,11 @@ def test_run_verbose_echoes_config(tmp_path, capsys):
         capsys,
     )
     assert code in (0, 4)
-    assert "config:" in err and "n_blocks=2" in err
+    assert "config:" in err and "n_blocks=2" in err and "seed=5" in err
 
 
 def test_run_with_config_file(tmp_path, capsys):
-    config = {"n_blocks": 2, "block_len": 1, "master_seed": 4}
+    config = {"n_blocks": 2, "block_len": 1}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out_path = tmp_path / "t.jsonl"
@@ -268,14 +268,19 @@ def test_run_with_config_file(tmp_path, capsys):
     assert code == 0
     # flag overrides beat file values
     code2, out2, _ = run_cli(
-        ["run", "bc", "--config", str(path), "--seed", "99", "--out", str(out_path)],
+        ["run", "bc", "--config", str(path), "-k", "2", "--seed", "99", "--out", str(out_path)],
         capsys,
     )
-    assert code2 == 0
+    assert code2 == 0 and '"channel":1,' in out_path.read_text()
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_blocks": 2, "block_len": 1, "mystery": 3}))
     code3, _, err = run_cli(["run", "bc", "--config", str(bad)], capsys)
     assert code3 == 2 and "unknown config fields" in err
+    # the seed is the run's, not the protocol's: a file cannot carry it
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({"n_blocks": 2, "block_len": 1, "master_seed": 4}))
+    code4, out4, err = run_cli(["run", "bc", "--config", str(seeded), "--out", str(out_path)], capsys)
+    assert code4 == 2 and out4 == "" and "unknown config fields: ['master_seed']" in err
 
 
 def test_sweep_pass_and_outputs(tmp_path, capsys):
@@ -409,7 +414,7 @@ def test_run_rejects_a_negative_seed(tmp_path, capsys):
     code, out, err = run_cli(
         ["run", "bc", "-N", "2", "-k", "2", "--seed", "-3", "--out", str(tmp_path / "t.jsonl")], capsys
     )
-    assert code == 2 and out == "" and "master_seed must be non-negative" in err
+    assert code == 2 and out == "" and "seed must be non-negative" in err and "master_seed" not in err
 
 
 def test_sweep_rejects_a_negative_master_seed(tmp_path, capsys):

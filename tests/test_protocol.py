@@ -109,7 +109,7 @@ def test_config_validation():
         {"n_blocks": 2.5},
         {"n_blocks": 2.0},
         {"block_len": True},
-        {"master_seed": "3"},
+        {"separation": "8"},
         {"width": "1"},
         {"tail_exponent": math.nan},
         {"channel_delay": None},
@@ -150,9 +150,9 @@ def test_honest_commitment_always_accepted():
 
 
 def test_transcript_shape_and_determinism():
-    cfg = config(2, 2, master_seed=77)
-    first = run_bit_commitment(cfg)
-    second = run_bit_commitment(cfg)
+    cfg = config(2, 2)
+    first = run_bit_commitment(cfg, seed=77)
+    second = run_bit_commitment(cfg, seed=77)
     assert transcript_to_jsonl(first.transcript) == transcript_to_jsonl(second.transcript)
     other = run_bit_commitment(cfg, seed=78)
     assert transcript_to_jsonl(first.transcript) != transcript_to_jsonl(other.transcript)
@@ -284,6 +284,17 @@ def test_a_negative_seed_is_rejected_by_its_name(call, name):
     # was numpy's "expected non-negative integer", which names no argument
     with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
         call()
+
+
+def test_a_run_seed_is_its_argument_only():
+    # the config holds only what both users agree on; the seed is checked where it is read
+    with pytest.raises(TypeError, match="master_seed"):
+        ProtocolConfig(2, 2, master_seed=1)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        run_bit_commitment(ProtocolConfig(2, 2), seed="3")
+    cfg = ProtocolConfig(2, 2)
+    default, zero = run_bit_commitment(cfg), run_bit_commitment(cfg, seed=0)
+    assert transcript_to_jsonl(default.transcript) == transcript_to_jsonl(zero.transcript)
 
 
 # ------------------------------------------------- block reassignment immunity
@@ -455,6 +466,16 @@ def test_tailed_honest_completion_rate():
     assert within_3_sigma(accepted, (1.0 - math.exp(-xi)) ** 4)
     # both tail failure modes occur at this rate
     assert aborts(batch) == {AbortReason.PERP_OUTCOME, AbortReason.SILENT_AT_FULL_ACCESS}
+
+
+@pytest.mark.parametrize("n, k, geometry", [
+    (1, 1, {"tail_exponent": 0.1}),  # a wide tail reaches the other window
+    (2, 2, {"width": 1.0, "separation": 1.5, "tail_exponent": 0.5}),  # the windows overlap
+])
+def test_tailed_honest_completion_counts_either_window(n, k, geometry):
+    cfg = config(n, k, **geometry)
+    batch = simulate(cfg, 4000, np.random.default_rng(0))
+    assert within_3_sigma(batch.accepted, cfg.honest_completion)
 
 
 # --------------------------------------------------------------------- audit
@@ -631,10 +652,10 @@ def test_audit_rejects_disordered_events():
 
 
 def test_channel_delay_shifts_wall_times_only():
-    fast = config(2, 2, master_seed=4)
-    slow = config(2, 2, master_seed=4, channel_delay=3.0)
-    res_fast = run_bit_commitment(fast)
-    res_slow = run_bit_commitment(slow)
+    fast = config(2, 2)
+    slow = config(2, 2, channel_delay=3.0)
+    res_fast = run_bit_commitment(fast, seed=4)
+    res_slow = run_bit_commitment(slow, seed=4)
     assert res_fast.verdict.code() == res_slow.verdict.code()
     taus_fast = [e.payload["tau"] for e in res_fast.transcript.events if e.kind == "detect"]
     taus_slow = [e.payload["tau"] for e in res_slow.transcript.events if e.kind == "detect"]
