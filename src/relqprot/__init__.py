@@ -10,58 +10,10 @@ Carlo and exact enumeration, and runs the full two-party protocols with
 honest and cheating strategies.
 """
 
-from .experiment import (
-    SCENARIOS,
-    ExperimentSpec,
-    SummaryCell,
-    cells_to_csv,
-    cells_to_json,
-    run_experiment,
-    wilson_interval,
-)
-from .measurement import (
-    composite_error,
-    helstrom_error,
-)
-from .parity import (
-    DEFAULT_ENUM_BOUND,
-    InconsistentEvidenceError,
-    ParityGuess,
-    alpha,
-    count_block_strings,
-    count_block_strings_closed,
-    exact_parity_guesser,
-    parity_posterior,
-    pc_parity_block_bound,
-    pc_parity_optimal,
-    pc_parity_plain,
-)
-from .protocol import (
-    HONEST,
-    AbortReason,
-    AuditError,
-    BitCommitmentResult,
-    CoinTossResult,
-    DelayBlocks,
-    EarlyGuess,
-    EarlyGuessReport,
-    Event,
-    Honest,
-    ProtocolConfig,
-    SendBack,
-    Transcript,
-    Verdict,
-    audit_transcript,
-    mirror_guess_acceptance,
-    run_bit_commitment,
-    run_coin_toss,
-    sample_secret,
-    transcript_to_jsonl,
-)
-from .wavepacket import (
-    StretchedState,
-    Waveform,
-    delayed_overlap,
-)
+from .experiment import *  # noqa: F401,F403
+from .measurement import *  # noqa: F401,F403
+from .parity import *  # noqa: F401,F403
+from .protocol import *  # noqa: F401,F403
+from .wavepacket import *  # noqa: F401,F403
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

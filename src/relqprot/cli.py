@@ -44,13 +44,6 @@ EXIT_SWEEP_FAILED = 5
 _STRATEGIES_B = {"honest": HONEST, "earlyguess": EarlyGuess(), "sendback": SendBack()}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relqprot",
@@ -59,22 +52,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     analytic = sub.add_parser("analytic", help="print the closed-form rate table")
-    analytic.add_argument("-N", "--blocks", type=_positive_int, required=True)
-    analytic.add_argument("-k", "--block-len", type=_positive_int, required=True)
+    analytic.add_argument("-N", "--blocks", type=int, required=True)
+    analytic.add_argument("-k", "--block-len", type=int, required=True)
     analytic.add_argument("--xi", "--tail-exponent", dest="tail_exponent", type=float)
     analytic.set_defaults(func=_cmd_analytic)
 
     count = sub.add_parser("count", help="count valid block strings exactly")
-    count.add_argument("-N", "--blocks", type=_positive_int, required=True)
-    count.add_argument("-k", "--block-len", type=_positive_int, required=True)
+    count.add_argument("-N", "--blocks", type=int, required=True)
+    count.add_argument("-k", "--block-len", type=int, required=True)
     count.set_defaults(func=_cmd_count)
 
     run = sub.add_parser("run", help="execute one protocol run")
     run.add_argument("protocol", choices=("bc", "ct"))
     run.add_argument("--config", help="JSON file with protocol parameters")
     # each dest is the ProtocolConfig field that the flag overrides
-    run.add_argument("-N", "--blocks", dest="n_blocks", type=_positive_int)
-    run.add_argument("-k", "--block-len", dest="block_len", type=_positive_int)
+    run.add_argument("-N", "--blocks", dest="n_blocks", type=int)
+    run.add_argument("-k", "--block-len", dest="block_len", type=int)
     run.add_argument("--width", type=float)
     run.add_argument("--separation", type=float)
     run.add_argument("--channel-delay", type=float)
@@ -98,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the master seed from the experiment file")
     sweep.add_argument("--out", default="sweep.csv")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--jobs", type=_positive_int, default=1)
+    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("-v", "--verbose", action="store_true",
                        help="echo the resolved experiment spec to stderr")
     sweep.set_defaults(func=_cmd_sweep)
@@ -197,9 +190,8 @@ def _cmd_run(args) -> int:
             seed=args.seed,
         )
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(transcript_to_jsonl(result.transcript))
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(transcript_to_jsonl(result.transcript))
     print(result.verdict.code())
     early = result.early_guess
     if early is not None:

@@ -323,8 +323,10 @@ def _run_cell(spec: ExperimentSpec, cell_index: int) -> SummaryCell:
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[SummaryCell]:
     """Evaluate every grid cell; deterministic for a given spec and seed."""
+    if _integer("jobs", jobs) < 1:
+        raise ValueError("jobs must be at least 1")
     indices = range(len(spec._resolved))
-    if jobs <= 1:
+    if jobs == 1:
         return [_run_cell(spec, i) for i in indices]
     # a pool forks all its workers at once, so never ask for more than cells
     with ProcessPoolExecutor(max_workers=min(jobs, len(indices))) as pool:

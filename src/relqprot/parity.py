@@ -231,8 +231,8 @@ def exact_parity_guesser(
     positions are unknown to the guesser, so only the counts matter; the
     posterior is exact under the honest sender's sampling and ties break
     deterministically toward 0 (ties are equally frequent for both secrets,
-    so the break introduces no bias).  The confidence is the heavier weight
-    over both by int division, which rounds as float(Fraction) does.
+    so the break introduces no bias).  The confidence is the heavier exact
+    posterior weight, rounded once to a float.
     """
     n_blocks, block_len = _validate_nk(n_blocks, block_len)
     n_channels, ones = n_blocks * block_len, 0
@@ -242,7 +242,5 @@ def exact_parity_guesser(
         if (bit := _integer("fired bit", bit)) not in (0, 1):
             raise ValueError("fired values must be bits")
         ones += bit
-    even, odd = _evidence_weights(n_blocks, block_len, ones, len(fired) - ones)
-    if even == odd == 0:
-        raise InconsistentEvidenceError("no valid block string is consistent with the fired outcomes")
-    return ParityGuess(int(odd > even), max(even, odd) / (even + odd))
+    even, odd = parity_posterior(n_blocks, block_len, n_channels - len(fired), ones)
+    return ParityGuess(int(odd > even), float(max(even, odd) / (even + odd)))

@@ -399,7 +399,7 @@ def simulate(
         raise ValueError("a delaying sender takes part in the bit commitment only")
     if any(not 0 <= b < config.n_blocks for b in delayed_blocks):
         raise ValueError("delayed block index out of range")
-    rng = np.random.default_rng(_natural("rng", rng) if isinstance(rng, (int, np.integer)) else rng)
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(_natural("rng", rng))
     state = config.make_state()
     parity_a, blocks_a, bits_a = sample_secret(config, trials, rng)
     if coin_toss and not mirror:

@@ -62,10 +62,8 @@ def test_analytic_plain_value_at_larger_n(capsys):
 
 
 def test_analytic_rejects_bad_parameters(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analytic", "-N", "0", "-k", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, out, err = run_cli(["analytic", "-N", "0", "-k", "1"], capsys)
+    assert code == 2 and out == "" and "n_blocks must be at least 1" in err
     for xi in ("1e-300", "800"):  # exp(-xi) rounds to 1; the Gaussian scale underflows
         code, out, err = run_cli(["analytic", "-N", "2", "-k", "2", "--xi", xi], capsys)
         assert code == 2 and out == "" and "below 1" in err
@@ -417,6 +415,28 @@ def test_run_rejects_a_negative_seed(tmp_path, capsys):
     assert code == 2 and out == "" and "seed must be non-negative" in err and "master_seed" not in err
 
 
+def test_sweep_rejects_zero_jobs_before_writing(tmp_path, capsys):
+    # the library's jobs check, reported as a usage error
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"scenario": "bc_honest", "grid": {"n_blocks": [2]}, "trials": 10}))
+    out_csv = tmp_path / "s.csv"
+    code, out, err = run_cli(["sweep", "--config", str(spec_path), "--out", str(out_csv), "--jobs", "0"], capsys)
+    assert code == 2 and out == "" and "jobs must be at least 1" in err
+    assert not out_csv.exists()
+
+
+def test_sweep_verbose_echoes_the_spec_only_to_stderr(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"scenario": "bc_honest", "grid": {"n_blocks": [2]}, "trials": 10, "master_seed": 4}))
+    argv = ["sweep", "--config", str(spec_path), "--out", str(tmp_path / "s.csv")]
+    code, quiet, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(argv + ["-v"], capsys)
+    assert code == 0 and out == quiet
+    assert err.startswith("spec:") and "bc_honest" in err and "master_seed=4" in err
+
+
 def test_sweep_rejects_a_negative_master_seed(tmp_path, capsys):
     # checked when the spec is built, not inside a worker
     spec_path = tmp_path / "spec.json"
@@ -469,6 +489,13 @@ def test_run_reports_unwritable_out_path(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert stdout == ""
+
+
+def test_run_rejects_an_empty_out_path(capsys):
+    # an empty path is an unwritable one, not a run that writes nothing
+    code, stdout, err = run_cli(["run", "bc", "-N", "2", "-k", "2", "--out", ""], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "No such file" in err
 
 
 def test_sweep_reports_unwritable_out_path(tmp_path, capsys):

@@ -162,6 +162,12 @@ def test_pool_never_exceeds_the_cell_count(monkeypatch):
     assert requested == [1, 2]
 
 
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "2", None])
+def test_jobs_follows_the_integer_rule(jobs):
+    with pytest.raises(ValueError, match="^jobs must be"):
+        run_experiment(spec(trials=10), jobs=jobs)
+
+
 def test_common_random_numbers_share_prefix_draws():
     a = run_experiment(spec(scenario="parity_guess",
                             grid={"n_blocks": [3], "block_len": 1}, trials=400))

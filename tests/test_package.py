@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,21 @@ def test_removed_names_are_not_exported():
         assert not hasattr(owner, name)
     with pytest.raises(TypeError, match="translation"):
         relqprot.StretchedState.create(1.0, 8.0, 0, translation=4.5)
+
+
+MODULES = (relqprot.experiment, relqprot.measurement, relqprot.parity, relqprot.protocol, relqprot.wavepacket)
+
+
+def test_package_exports_each_module_all():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))  # a repeated name would shadow silently in a star import
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(relqprot, name) is getattr(module, name), name
+    submodules = {n for n, v in vars(relqprot).items() if isinstance(v, types.ModuleType)}
+    public = {n for n in vars(relqprot) if not n.startswith("_")} - submodules
+    assert public == set(names)
+    assert relqprot.simulate is relqprot.protocol.simulate
 
 
 def run_fresh(code):

@@ -297,6 +297,13 @@ def test_a_run_seed_is_its_argument_only():
     assert transcript_to_jsonl(default.transcript) == transcript_to_jsonl(zero.transcript)
 
 
+@pytest.mark.parametrize("rng", [1.5, None, "3", True])
+def test_simulate_takes_a_generator_or_a_seed(rng):
+    # None would draw fresh entropy, so two runs would differ
+    with pytest.raises(ValueError, match="^rng must be"):
+        simulate(ProtocolConfig(4, 4), 50, rng)
+
+
 # ------------------------------------------------- block reassignment immunity
 
 
